@@ -7,27 +7,24 @@ adapters), eval (metrics for one report), compare (table across reports).
 Configuration is one flat key-value JSON document; --set KEY=VALUE flags
 override file values, unknown keys are rejected, and the effective config
 is echoed into every output. Exit codes: 0 success, 2 user/config error,
-3 numeric failure, 4 I/O error. ONEA_THREADS caps how many strategies the
-run subcommand executes in parallel.
+3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .adapter import load_module, save_module
 from .errors import (ConfigError, FormatError, NumericError, OneaError,
                      ShapeError)
-from .merge import (InfoProxy, MergeConfig, info_weights, merge_average,
-                    merge_modules, merge_symmetric, select_roles, thin_svd)
+from .merge import (InfoProxy, MergeConfig, info_weights, select_roles,
+                    thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       weighted_average_accuracy)
-from .sim import Strategy, TrainConfig, run_sequence
+from .sim import Strategy, TrainConfig, fold, run_strategies
 from .stream import StreamSpec, TaskOrder, build_stream
 
 RUN_DEFAULTS = {
@@ -157,22 +154,7 @@ def cmd_run(args) -> int:
     out_dir = Path(conf["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(strategy: Strategy):
-        return run_sequence(stream, strategy, train, merge_cfg,
-                            return_adapters=True)
-
-    raw_threads = os.environ.get("ONEA_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise ConfigError(
-            f"ONEA_THREADS must be an integer, got '{raw_threads}'") from None
-    if threads > 1 and len(strategies) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, strategies))
-    else:
-        results = [one(s) for s in strategies]
-
+    results = run_strategies(stream, strategies, train, merge_cfg)
     for strategy, (report, adapters) in zip(strategies, results):
         report_path = out_dir / f"report-{strategy.value}.json"
         report_path.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -203,18 +185,13 @@ def cmd_merge(args) -> int:
                                     align_layer, merge_cfg)
             rank = thin_svd(base_layer, rank_eps=merge_cfg.rank_eps).effective_rank
             print(f"layer {i}: effective rank {rank}, w_b={w_b:.6f}, w_a={w_a:.6f}")
-        merged = merge_modules(new, accumulated, merge_cfg)
-    elif strategy is Strategy.AVERAGE:
-        merged = merge_average(new, accumulated, args.n_prev)
-        print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
     elif strategy is Strategy.SYMMETRIC:
         w_b, w_a = info_weights(accumulated.meta, new.meta, accumulated.layers[0],
                                 new.layers[0], merge_cfg)
         print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
-        merged = merge_symmetric(new, accumulated, w_b, w_a, merge_cfg)
-    else:
-        raise ConfigError(f"merge supports one-a, average, symmetric; "
-                          f"got '{strategy.value}'")
+    merged = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
+    if strategy is Strategy.AVERAGE:
+        print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
     save_module(merged, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -1,22 +1,13 @@
-"""Thread-local call counters backing the complexity contracts.
-
-Counters are per-thread so strategy runs dispatched on a thread pool do
-not pollute each other's totals; callers snapshot before/after.
-"""
-
-import threading
+"""Call counters backing the complexity contracts; callers snapshot the
+value before and after the work they measure."""
 
 
 class CallCounter:
     def __init__(self) -> None:
-        self._local = threading.local()
+        self.value = 0
 
     def bump(self) -> None:
-        self._local.value = getattr(self._local, "value", 0) + 1
-
-    @property
-    def value(self) -> int:
-        return getattr(self._local, "value", 0)
+        self.value += 1
 
 
 SVD_CALLS = CallCounter()

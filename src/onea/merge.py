@@ -191,8 +191,7 @@ def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
     gate toward 0 (kept at base) and weak ones toward 1 (fully fused);
     g is exactly 0.5 where s_i equals the threshold.
     """
-    s = np.asarray(sigma, dtype=np.float64).reshape(-1) if np.ndim(sigma) == 1 \
-        else np.asarray(sigma, dtype=np.float64)
+    s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ShapeError(f"sigma must be a non-empty 1-D array, got shape {np.shape(sigma)}")
     if np.any(s < 0.0) or not np.all(np.isfinite(s)):

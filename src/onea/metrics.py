@@ -76,7 +76,7 @@ def average_accuracy(report: RunReport) -> float:
 def forgetting(report: RunReport) -> float | None:
     """Mean drop from each task's best accuracy to its final accuracy.
 
-    For task j < T the drop is max over steps k in {j..T-1} of acc[j][k]
+    For task j < T-1 the drop is max over steps k in {j..T-2} of acc[j][k]
     minus acc[j][T-1], floored at zero so later improvements never count
     as negative forgetting. Returns None for single-task runs, where the
     quantity is not applicable.

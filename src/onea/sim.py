@@ -10,6 +10,7 @@ the adapter and the prototype bank survive a task.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 import warnings
@@ -135,26 +136,36 @@ def _normalize_rows(z: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return z / norms[:, None], norms
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n
+    matrix. Cached: a task's batches come in at most two sizes (full and
+    remainder), and the full size repeats across tasks."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _pair_coefficients(sims: np.ndarray, same: np.ndarray, tau: float):
     """Loss value and d(loss)/d(similarity) over the strict upper triangle."""
     n = sims.shape[0]
-    iu = np.triu_indices(n, k=1)
-    pos = same[iu]
+    iu_rows, iu_cols = _upper_pairs(n)
+    pos = same[iu_rows, iu_cols]
     neg = ~pos
+    pair_sims = sims[iu_rows, iu_cols]
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     coeff = np.zeros((n, n))
     loss = 0.0
     if n_pos:
-        loss += float(np.mean(1.0 - sims[iu][pos]))
-        rows, cols = iu[0][pos], iu[1][pos]
-        coeff[rows, cols] -= 1.0 / n_pos
+        loss += float(np.mean(1.0 - pair_sims[pos]))
+        coeff[iu_rows[pos], iu_cols[pos]] -= 1.0 / n_pos
     if n_neg:
-        margins = sims[iu][neg] - tau
+        margins = pair_sims[neg] - tau
         active = margins > 0.0
         loss += float(np.sum(margins[active])) / n_neg
-        rows, cols = iu[0][neg][active], iu[1][neg][active]
-        coeff[rows, cols] += 1.0 / n_neg
+        coeff[iu_rows[neg][active], iu_cols[neg][active]] += 1.0 / n_neg
     return loss, coeff, n_pos, n_neg
 
 
@@ -420,23 +431,116 @@ def _predict_across_banks(x, adapters, backbone, banks) -> np.ndarray:
     return ids[order][np.argmax(scores[:, order], axis=1)]
 
 
-def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig,
-                 merge_cfg: MergeConfig | None = None, *,
-                 return_adapters: bool = False):
-    """Run one continual-learning pass over the stream.
+FOLD_STRATEGIES = (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC)
 
-    After each task the strategy-specific model absorbs the new adapter,
-    prototypes for the task's classes are recorded under the current
-    model, and accuracy is measured task-agnostically over all test data
-    seen so far. The report is bit-reproducible given (stream seed, train
-    seed, config, strategy); only its timing block varies between runs.
 
-    Returns the RunReport, plus the deployable adapter list when
-    return_adapters is set (one merged module, or one per task for the
-    per-task strategy).
+def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
+         n_prev: int, merge_cfg: MergeConfig) -> AdapterModule:
+    """Fold a newly trained adapter into the carried one.
+
+    Args:
+        strategy: one of FOLD_STRATEGIES.
+        carried: the adapter folded so far, or None before the first task,
+            in which case the new adapter is returned verbatim.
+        n_prev: tasks already absorbed into carried (the average's weight).
     """
-    if not isinstance(strategy, Strategy):
-        raise ConfigError(f"unknown strategy {strategy!r}")
+    if strategy not in FOLD_STRATEGIES:
+        raise ConfigError(f"fold supports one-a, average, symmetric; "
+                          f"got '{getattr(strategy, 'value', strategy)}'")
+    if strategy is Strategy.ONE_A:
+        return merge_modules(new, carried, merge_cfg)
+    if carried is None:
+        return new
+    if strategy is Strategy.AVERAGE:
+        return merge_average(new, carried, n_prev)
+    w_b, w_a = info_weights(carried.meta, new.meta, carried.layers[0],
+                            new.layers[0], merge_cfg)
+    return merge_symmetric(new, carried, w_b, w_a, merge_cfg)
+
+
+class _StrategyRun:
+    """One strategy's carried model and accuracy record in run_strategies."""
+
+    def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone,
+                 cfg: TrainConfig, t0: float, merge_cfg: MergeConfig):
+        self.strategy = strategy
+        self.backbone, self.cfg, self.t0 = backbone, cfg, t0
+        self.merge_cfg = merge_cfg
+        self.carried: AdapterModule | None = None   # merged or fine-tuned
+        self.bank: PrototypeBank | None = None
+        self.adapters: list[AdapterModule] = []     # per-task only
+        self.banks: list[PrototypeBank] = []        # per-task only
+        self.acc_matrix: list[list[float | None]] = \
+            [[None] * t_total for _ in range(t_total)]
+        self.step_acc: list[float] = []
+        self.merge_ms: list[float] = []
+        self.svd_calls = 0
+
+    def step(self, idx: int, task: Task, new: AdapterModule | None,
+             eval_x: np.ndarray, eval_y: np.ndarray, widths: list[int]) -> None:
+        """Absorb task idx (new is its freshly trained adapter), record
+        prototypes for its classes and score all test data seen so far."""
+        if self.strategy is Strategy.SINGLE_FINETUNE:
+            self.carried = new if self.carried is None else train_task(
+                task, self.backbone, self.cfg, t0=self.t0, init=self.carried)
+            self.merge_ms.append(0.0)
+        else:
+            svd_start = SVD_CALLS.value
+            tick = time.perf_counter()
+            if self.strategy is Strategy.PER_TASK:
+                self.adapters.append(new)
+            else:
+                self.carried = fold(self.strategy, self.carried, new, idx,
+                                    self.merge_cfg)
+            self.merge_ms.append((time.perf_counter() - tick) * 1000.0)
+            self.svd_calls += SVD_CALLS.value - svd_start
+
+        if self.strategy is Strategy.PER_TASK:
+            self.banks.append(compute_prototypes(new, self.backbone, task.data,
+                                                 class_ids=task.meta.class_ids))
+            preds = _predict_across_banks(eval_x, self.adapters, self.backbone,
+                                          self.banks)
+        else:
+            fresh = compute_prototypes(self.carried, self.backbone, task.data,
+                                       class_ids=task.meta.class_ids)
+            self.bank = fresh if self.bank is None else self.bank.updated(fresh)
+            preds = classify_batch(eval_x, self.carried, self.backbone, self.bank)
+        correct = preds == eval_y
+        self.step_acc.append(float(np.mean(correct)))
+        offset = 0
+        for j, width in enumerate(widths):
+            self.acc_matrix[j][idx] = float(np.mean(correct[offset:offset + width]))
+            offset += width
+
+    def deployable(self) -> list[AdapterModule]:
+        return self.adapters if self.strategy is Strategy.PER_TASK else [self.carried]
+
+
+def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
+                   merge_cfg: MergeConfig | None = None
+                   ) -> list[tuple[RunReport, list[AdapterModule]]]:
+    """Run one continual-learning pass over the stream for several strategies.
+
+    Each task's fresh adapter is trained once and shared: after training,
+    every strategy in turn absorbs it (fold, append, or, for
+    single-finetune past the first task, continued training of its own
+    adapter), records prototypes for the task's classes under its current
+    model, and measures accuracy task-agnostically over all test data seen
+    so far. Each report is bit-reproducible given (stream seed, train seed,
+    config, strategy) and does not depend on which other strategies share
+    the pass or their order; only its timing block varies between runs.
+    svd_calls and timings.merge_ms cover that strategy's own folds, and
+    timings.total_s is the wall time of the whole shared pass.
+
+    Returns one (RunReport, deployable adapters) pair per strategy, in the
+    given order: one merged module, or one per task for per-task.
+    """
+    strategies = list(strategies)
+    if not strategies:
+        raise ConfigError("need at least one strategy")
+    for strategy in strategies:
+        if not isinstance(strategy, Strategy):
+            raise ConfigError(f"unknown strategy {strategy!r}")
     merge_cfg = MergeConfig() if merge_cfg is None else merge_cfg
     spec = stream.spec
     t_total = len(stream.tasks)
@@ -445,61 +549,21 @@ def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig,
         stream.tasks[0].data.train_x.shape[1], BACKBONE_DIM,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
 
-    svd_start = SVD_CALLS.value
     started = time.perf_counter()
-    acc_matrix: list[list[float | None]] = [[None] * t_total for _ in range(t_total)]
-    step_acc: list[float] = []
-    merge_ms: list[float] = []
-    merged: AdapterModule | None = None
-    bank: PrototypeBank | None = None
-    adapters: list[AdapterModule] = []
-    banks: list[PrototypeBank] = []
-
+    runs = [_StrategyRun(s, t_total, backbone, cfg, t0, merge_cfg)
+            for s in strategies]
+    # single-finetune uses a fresh adapter only for the first task
+    fresh_every_task = any(s is not Strategy.SINGLE_FINETUNE for s in strategies)
     for idx, task in enumerate(stream.tasks):
-        if strategy is Strategy.SINGLE_FINETUNE:
-            merged = train_task(task, backbone, cfg, t0=t0, init=merged)
-            merge_ms.append(0.0)
-        else:
-            new = train_task(task, backbone, cfg, t0=t0)
-            tick = time.perf_counter()
-            if strategy is Strategy.ONE_A:
-                merged = merge_modules(new, merged, merge_cfg)
-            elif strategy is Strategy.AVERAGE:
-                merged = new if merged is None else merge_average(new, merged, idx)
-            elif strategy is Strategy.SYMMETRIC:
-                if merged is None:
-                    merged = new
-                else:
-                    w_b, w_a = info_weights(merged.meta, new.meta,
-                                            merged.layers[0], new.layers[0],
-                                            merge_cfg)
-                    merged = merge_symmetric(new, merged, w_b, w_a, merge_cfg)
-            else:
-                adapters.append(new)
-            merge_ms.append((time.perf_counter() - tick) * 1000.0)
-
-        if strategy is Strategy.PER_TASK:
-            banks.append(compute_prototypes(adapters[-1], backbone, task.data,
-                                            class_ids=task.meta.class_ids))
-        else:
-            fresh = compute_prototypes(merged, backbone, task.data,
-                                       class_ids=task.meta.class_ids)
-            bank = fresh if bank is None else bank.updated(fresh)
-
+        new = train_task(task, backbone, cfg, t0=t0) \
+            if idx == 0 or fresh_every_task else None
         seen = stream.tasks[:idx + 1]
         eval_x = np.concatenate([t.data.test_x for t in seen])
         eval_y = np.concatenate([t.data.test_y for t in seen])
-        if strategy is Strategy.PER_TASK:
-            preds = _predict_across_banks(eval_x, adapters, backbone, banks)
-        else:
-            preds = classify_batch(eval_x, merged, backbone, bank)
-        correct = preds == eval_y
-        step_acc.append(float(np.mean(correct)))
-        offset = 0
-        for j, seen_task in enumerate(seen):
-            width = seen_task.data.test_x.shape[0]
-            acc_matrix[j][idx] = float(np.mean(correct[offset:offset + width]))
-            offset += width
+        widths = [t.data.test_x.shape[0] for t in seen]
+        for run in runs:
+            run.step(idx, task, new, eval_x, eval_y, widths)
+    total_s = time.perf_counter() - started
 
     config_echo = {
         **spec.to_dict(),
@@ -514,18 +578,31 @@ def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig,
         "rank_eps": merge_cfg.rank_eps, "info_proxy": merge_cfg.info_proxy.value,
     }
     config_echo.pop("seed")
-    report = RunReport(
-        strategy=strategy.value,
-        stream_seed=spec.seed,
-        train_seed=cfg.seed,
-        class_counts=[t.meta.class_count for t in stream.tasks],
-        acc_matrix=acc_matrix,
-        step_acc=step_acc,
-        config=config_echo,
-        svd_calls=SVD_CALLS.value - svd_start,
-        timings={"merge_ms": merge_ms,
-                 "total_s": time.perf_counter() - started},
-    )
-    if return_adapters:
-        return report, (adapters if strategy is Strategy.PER_TASK else [merged])
-    return report
+    results = []
+    for run in runs:
+        report = RunReport(
+            strategy=run.strategy.value,
+            stream_seed=spec.seed,
+            train_seed=cfg.seed,
+            class_counts=[t.meta.class_count for t in stream.tasks],
+            acc_matrix=run.acc_matrix,
+            step_acc=run.step_acc,
+            config=dict(config_echo),
+            svd_calls=run.svd_calls,
+            timings={"merge_ms": run.merge_ms, "total_s": total_s},
+        )
+        results.append((report, run.deployable()))
+    return results
+
+
+def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig,
+                 merge_cfg: MergeConfig | None = None, *,
+                 return_adapters: bool = False):
+    """Run one continual-learning pass over the stream with one strategy.
+
+    The single-strategy form of run_strategies. Returns the RunReport,
+    plus the deployable adapter list when return_adapters is set (one
+    merged module, or one per task for the per-task strategy).
+    """
+    report, adapters = run_strategies(stream, [strategy], cfg, merge_cfg)[0]
+    return (report, adapters) if return_adapters else report

@@ -28,6 +28,11 @@ class TaskOrder(enum.Enum):
     BALANCED = "balanced"
 
 
+def _train_count(samples_per_class: int) -> int:
+    """Training rows per class; the rest of the class is its test split."""
+    return max(1, int(round(TRAIN_FRACTION * samples_per_class)))
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     total_classes: int
@@ -47,9 +52,10 @@ class StreamSpec:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not isinstance(self.order, TaskOrder):
             raise ConfigError(f"order must be a TaskOrder, got {self.order!r}")
-        if self.samples_per_class < 1:
+        if self.samples_per_class - _train_count(self.samples_per_class) < 1:
             raise ConfigError(
-                f"samples_per_class must be >= 1, got {self.samples_per_class}")
+                f"samples_per_class must be >= 3 so the {TRAIN_FRACTION:.0%} "
+                f"train split leaves test samples, got {self.samples_per_class}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be an unsigned 64-bit int, got {self.seed}")
 
@@ -180,7 +186,7 @@ def build_stream(spec: StreamSpec) -> TaskStream:
     if spec.order is TaskOrder.PERMUTED_HEAD_TAIL:
         blocks = [blocks[i] for i in task_perm]
 
-    n_train = max(1, int(round(TRAIN_FRACTION * spec.samples_per_class)))
+    n_train = _train_count(spec.samples_per_class)
     tasks = []
     for position, classes in enumerate(blocks, start=1):
         train_x, train_y, test_x, test_y = [], [], [], []

@@ -15,7 +15,8 @@ from onea import (Backbone, GateVector, MergeConfig, RunReport, Strategy,
                   StreamSpec, TaskOrder, TrainConfig, average_accuracy,
                   build_stream, classify, compute_prototypes, epoch_schedule,
                   forgetting, gate_vector, lambda_schedule, merge_layer,
-                  merge_modules, merge_symmetric, run_sequence, thin_svd)
+                  merge_modules, merge_symmetric, run_sequence,
+                  run_strategies, thin_svd)
 from onea.cli import main
 from onea.counters import ADAPTER_FORWARDS, SVD_CALLS
 from onea.sim import objective, objective_grads
@@ -198,8 +199,8 @@ def test_c09_directional_ordering():
             total_classes=20, num_tasks=5, gamma=0.01,
             order=TaskOrder.DESCENDING, seed=seed))
         cfg = TrainConfig(seed=seed)
-        for strategy in finals:
-            report = run_sequence(stream, strategy, cfg)
+        for strategy, (report, _) in zip(
+                finals, run_strategies(stream, finals, cfg)):
             finals[strategy].append(report.step_acc[-1])
             if strategy in forgets:
                 forgets[strategy].append(forgetting(report))

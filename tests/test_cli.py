@@ -106,24 +106,29 @@ def test_run_per_task_writes_one_adapter_per_task(tmp_path):
     assert (out / "adapter-per-task-t2.onea").exists()
 
 
-def test_run_parallelism_does_not_change_results(tmp_path, monkeypatch):
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    argv = ["run", *RUN_ARGS, "--set",
-            'strategies=["one-a","average","symmetric"]']
-    monkeypatch.setenv("ONEA_THREADS", "1")
-    assert main(argv + ["--out-dir", str(serial)]) == 0
-    monkeypatch.setenv("ONEA_THREADS", "3")
-    assert main(argv + ["--out-dir", str(parallel)]) == 0
-    for name in ("one-a", "average", "symmetric"):
-        assert _strip_timings(serial / f"report-{name}.json") == \
-            _strip_timings(parallel / f"report-{name}.json")
+def test_run_all_strategies_matches_single_strategy_runs(tmp_path):
+    names = ["one-a", "average", "symmetric", "per-task", "single-finetune"]
+    shared = tmp_path / "shared"
+    argv = ["run", *RUN_ARGS, "--set", "tasks=3"]
+    assert main(argv + ["--set", f"strategies={json.dumps(names)}",
+                        "--out-dir", str(shared)]) == 0
+    for name in names:
+        alone = tmp_path / name
+        assert main(argv + ["--set", f"strategies={json.dumps([name])}",
+                            "--out-dir", str(alone)]) == 0
+        assert _strip_timings(shared / f"report-{name}.json") == \
+            _strip_timings(alone / f"report-{name}.json")
+        for path in alone.glob("*.onea"):
+            assert (shared / path.name).read_bytes() == path.read_bytes()
 
 
-def test_run_rejects_bad_threads(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ONEA_THREADS", "many")
-    argv = ["run", *RUN_ARGS, "--out-dir", str(tmp_path / "x")]
+def test_run_rejects_empty_test_split_before_training(tmp_path, capsys):
+    out = tmp_path / "runs"
+    argv = ["run", *RUN_ARGS, "--set", "samples_per_class=2",
+            "--out-dir", str(out)]
     assert main(argv) == 2
-    assert "ONEA_THREADS" in capsys.readouterr().err
+    assert "samples_per_class" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_file_and_overrides(tmp_path):

@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from onea import (Backbone, ConfigError, NumericError, PrototypeBank,
-                  ShapeError, Strategy, StreamSpec, TaskMeta, TaskOrder,
-                  TrainConfig, TrainingError, adapted_features, build_stream,
-                  classify, classify_batch, compute_prototypes,
-                  contrastive_loss, epoch_schedule, lambda_schedule,
-                  run_sequence, train_task)
+from onea import (Backbone, ConfigError, MergeConfig, NumericError,
+                  PrototypeBank, ShapeError, Strategy, StreamSpec, TaskMeta,
+                  TaskOrder, TrainConfig, TrainingError, adapted_features,
+                  build_stream, classify, classify_batch, compute_prototypes,
+                  contrastive_loss, epoch_schedule, fold, lambda_schedule,
+                  run_sequence, run_strategies, serialize, train_task)
 from onea.counters import SVD_CALLS
 from onea.sim import objective, objective_grads
 from onea.stream import SyntheticDataset, Task
@@ -443,3 +443,38 @@ def test_run_sequence_single_task_stream():
 def test_run_sequence_rejects_raw_strings():
     with pytest.raises(ConfigError):
         run_sequence(_tiny_stream(), "one-a", QUICK)
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_run_strategies_matches_run_sequence_per_strategy(order):
+    stream = _tiny_stream(total_classes=6, num_tasks=3)
+    strategies = list(Strategy)
+    if order == "reversed":
+        strategies.reverse()
+    results = run_strategies(stream, strategies, QUICK)
+    assert [r.strategy for r, _ in results] == [s.value for s in strategies]
+    for strategy, (report, adapters) in zip(strategies, results):
+        alone, alone_adapters = run_sequence(stream, strategy, QUICK,
+                                             return_adapters=True)
+        assert report.canonical_bytes() == alone.canonical_bytes(), strategy
+        assert [serialize(m) for m in adapters] == \
+            [serialize(m) for m in alone_adapters], strategy
+        assert len(report.timings["merge_ms"]) == len(stream.tasks)
+
+
+def test_run_strategies_rejects_empty_and_unknown():
+    with pytest.raises(ConfigError):
+        run_strategies(_tiny_stream(), [], QUICK)
+    with pytest.raises(ConfigError):
+        run_strategies(_tiny_stream(), [Strategy.ONE_A, "average"], QUICK)
+
+
+def test_fold_first_task_and_non_merge_strategies():
+    rng = np.random.default_rng(3)
+    new = make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))])
+    cfg = MergeConfig()
+    for strategy in (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC):
+        assert fold(strategy, None, new, 0, cfg) is new
+    for strategy in (Strategy.PER_TASK, Strategy.SINGLE_FINETUNE, "one-a"):
+        with pytest.raises(ConfigError):
+            fold(strategy, new, new, 1, cfg)

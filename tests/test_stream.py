@@ -96,6 +96,19 @@ def test_stream_spec_validation(kwargs):
         _spec(**kwargs)
 
 
+@pytest.mark.parametrize("samples_per_class", [1, 2])
+def test_stream_spec_rejects_empty_test_split(samples_per_class):
+    with pytest.raises(ConfigError, match="test samples"):
+        _spec(samples_per_class=samples_per_class)
+
+
+def test_smallest_valid_split_keeps_train_and_test_rows():
+    stream = build_stream(_spec(samples_per_class=3))
+    for task in stream.tasks:
+        assert task.data.train_x.shape[0] == 2 * task.meta.class_count
+        assert task.data.test_x.shape[0] == task.meta.class_count
+
+
 def test_stream_spec_to_dict_round_trips_values():
     spec = _spec(order=TaskOrder.DESCENDING, samples_per_class=8, seed=42)
     assert spec.to_dict() == {
