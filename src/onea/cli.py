@@ -15,27 +15,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adapter import load_module, save_module
-from .errors import (ConfigError, FormatError, NumericError, OneaError,
-                     ShapeError)
+from .errors import ConfigError, FormatError, NumericError, OneaError
 from .merge import (InfoProxy, MergeConfig, info_weights, select_roles,
                     thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       weighted_average_accuracy)
-from .sim import Strategy, TrainConfig, fold, run_strategies
+from .sim import (FOLD_STRATEGIES, Strategy, TrainConfig, fold, run_config,
+                  run_strategies)
 from .stream import StreamSpec, TaskOrder, build_stream
 
+# every library default comes from the config dataclasses; only the
+# stream shape, the strategy list and the output directory are the CLI's own
 RUN_DEFAULTS = {
-    "classes": 20, "tasks": 5, "gamma": 0.01, "order": "permuted",
-    "samples_per_class": 50, "stream_seed": 0,
-    "lr": 0.1, "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
-    "beta": 0.5, "lambda_min": 0.01, "lambda_max": 0.1, "k_decay": 2.3979,
-    "tau_margin": 0.07, "batch_size": 32, "bottleneck": 8, "cosine_lr": False,
-    "train_seed": 0,
-    "quantile_q": 0.5, "kappa": 10.0, "delta": 1e-6, "rank_eps": 1e-10,
-    "info_proxy": "class-count",
+    **run_config(StreamSpec(total_classes=20, num_tasks=5), TrainConfig(),
+                 MergeConfig()),
     "strategies": ["one-a", "average"],
     "out_dir": "runs",
 }
@@ -110,13 +107,9 @@ def _build_objects(conf: dict):
                       order=_enum_value(TaskOrder, conf["order"], "order"),
                       samples_per_class=conf["samples_per_class"],
                       seed=conf["stream_seed"])
-    train = TrainConfig(lr=conf["lr"], epochs_base=conf["epochs_base"],
-                        epochs_min=conf["epochs_min"], epochs_max=conf["epochs_max"],
-                        beta=conf["beta"], lambda_min=conf["lambda_min"],
-                        lambda_max=conf["lambda_max"], k_decay=conf["k_decay"],
-                        tau_margin=conf["tau_margin"], batch_size=conf["batch_size"],
-                        bottleneck=conf["bottleneck"], cosine_lr=conf["cosine_lr"],
-                        seed=conf["train_seed"])
+    train = TrainConfig(seed=conf["train_seed"],
+                        **{f.name: conf[f.name] for f in fields(TrainConfig)
+                           if f.name != "seed"})
     merge_cfg = MergeConfig(quantile_q=conf["quantile_q"],
                             sharpness_kappa=conf["kappa"], delta=conf["delta"],
                             rank_eps=conf["rank_eps"],
@@ -262,11 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-stream", help="write a task-stream manifest")
     gen.add_argument("--classes", type=int, required=True)
     gen.add_argument("--tasks", type=int, required=True)
-    gen.add_argument("--gamma", type=float, default=0.01)
-    gen.add_argument("--order", default="permuted",
+    gen.add_argument("--gamma", type=float, default=StreamSpec.gamma)
+    gen.add_argument("--order", default=StreamSpec.order.value,
                      choices=[o.value for o in TaskOrder])
-    gen.add_argument("--samples-per-class", type=int, default=50)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--samples-per-class", type=int,
+                     default=StreamSpec.samples_per_class)
+    gen.add_argument("--seed", type=int, default=StreamSpec.seed)
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     gen.set_defaults(func=cmd_gen_stream)
 
@@ -281,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("accumulated", help="path of the carried .onea module")
     merge.add_argument("new", help="path of the newly trained .onea module")
     merge.add_argument("--out", required=True)
-    merge.add_argument("--strategy", default="one-a",
-                       choices=["one-a", "average", "symmetric"])
-    merge.add_argument("--quantile-q", type=float, default=0.5)
-    merge.add_argument("--kappa", type=float, default=10.0)
-    merge.add_argument("--delta", type=float, default=1e-6)
-    merge.add_argument("--rank-eps", type=float, default=1e-10)
-    merge.add_argument("--proxy", default="class-count",
+    merge.add_argument("--strategy", default=FOLD_STRATEGIES[0].value,
+                       choices=[s.value for s in FOLD_STRATEGIES])
+    merge.add_argument("--quantile-q", type=float, default=MergeConfig.quantile_q)
+    merge.add_argument("--kappa", type=float, default=MergeConfig.sharpness_kappa)
+    merge.add_argument("--delta", type=float, default=MergeConfig.delta)
+    merge.add_argument("--rank-eps", type=float, default=MergeConfig.rank_eps)
+    merge.add_argument("--proxy", default=MergeConfig.info_proxy.value,
                        choices=[p.value for p in InfoProxy])
     merge.add_argument("--n-prev", type=int, default=1,
                        help="tasks already absorbed (average strategy)")
@@ -305,6 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins; ConfigError, ShapeError and any other OneaError exit 2
+_EXIT_CODES = ((FormatError, 4), (NumericError, 3), (OSError, 4), (OneaError, 2))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -313,21 +311,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError) as exc:
+    except (OneaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OneaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -83,6 +83,14 @@ class GateVector:
         object.__setattr__(self, "g", freeze(g).reshape(-1))
 
 
+def _effective_rank(s: np.ndarray, rank_eps: float) -> int:
+    """Count of singular values strictly above rank_eps * sigma_1; 0 when
+    the spectrum is empty or all zero."""
+    if s.size and s[0] > 0.0:
+        return int(np.count_nonzero(s > rank_eps * s[0]))
+    return 0
+
+
 def thin_svd(w: np.ndarray, rank_eps: float = 1e-10) -> SingularDecomposition:
     """Thin SVD with deterministic signs.
 
@@ -103,12 +111,9 @@ def thin_svd(w: np.ndarray, rank_eps: float = 1e-10) -> SingularDecomposition:
     signs[signs == 0.0] = 1.0
     u = u * signs
     v = v * signs
-    if s.size and s[0] > 0.0:
-        eff = int(np.count_nonzero(s > rank_eps * s[0]))
-    else:
-        eff = 0
     return SingularDecomposition(U=freeze(u), sigma=freeze(s.reshape(-1)),
-                                 V=freeze(v), effective_rank=eff)
+                                 V=freeze(v),
+                                 effective_rank=_effective_rank(s, rank_eps))
 
 
 def select_roles(new: AdapterModule, accumulated: AdapterModule):
@@ -197,10 +202,7 @@ def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
     if np.any(s < 0.0) or not np.all(np.isfinite(s)):
         raise NumericError("sigma must be finite and non-negative")
     scores = s / (s[0] + cfg.delta)
-    if s[0] > 0.0:
-        eff = int(np.count_nonzero(s > cfg.rank_eps * s[0]))
-    else:
-        eff = 0
+    eff = _effective_rank(s, cfg.rank_eps)
     pool = scores[:eff] if eff >= 1 else scores
     theta = float(np.quantile(pool, cfg.quantile_q))
     g = _logistic(cfg.sharpness_kappa * (theta - scores))

@@ -10,11 +10,10 @@ the adapter and the prototype bank survive a task.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import ConfigError, NumericError, ShapeError, TrainingError
 from .merge import (MergeConfig, info_weights, merge_average, merge_modules,
                     merge_symmetric)
 from .metrics import RunReport
-from .stream import Task, TaskStream
+from .stream import StreamSpec, Task, TaskStream
 
 BACKBONE_DIM = 32
 
@@ -136,36 +135,26 @@ def _normalize_rows(z: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return z / norms[:, None], norms
 
 
-@functools.lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of an n x n
-    matrix. Cached: a task's batches come in at most two sizes (full and
-    remainder), and the full size repeats across tasks."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
 def _pair_coefficients(sims: np.ndarray, same: np.ndarray, tau: float):
-    """Loss value and d(loss)/d(similarity) over the strict upper triangle."""
-    n = sims.shape[0]
-    iu_rows, iu_cols = _upper_pairs(n)
-    pos = same[iu_rows, iu_cols]
-    neg = ~pos
-    pair_sims = sims[iu_rows, iu_cols]
-    n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
-    coeff = np.zeros((n, n))
+    """Loss value and the symmetric d(loss)/d(similarity) matrix.
+
+    Each unordered pair shows up twice in the full masks, so the pair
+    counts are halved and the loss sums are halved with them.
+    """
+    pos = same & ~np.eye(sims.shape[0], dtype=bool)
+    neg = ~same
+    n_pos = int(np.count_nonzero(pos)) // 2
+    n_neg = int(np.count_nonzero(neg)) // 2
+    coeff = np.zeros(sims.shape)
     loss = 0.0
     if n_pos:
-        loss += float(np.mean(1.0 - pair_sims[pos]))
-        coeff[iu_rows[pos], iu_cols[pos]] -= 1.0 / n_pos
+        loss += float(np.sum(1.0 - sims[pos])) / (2 * n_pos)
+        coeff[pos] = -1.0 / n_pos
     if n_neg:
-        margins = pair_sims[neg] - tau
-        active = margins > 0.0
-        loss += float(np.sum(margins[active])) / n_neg
-        coeff[iu_rows[neg][active], iu_cols[neg][active]] += 1.0 / n_neg
+        margins = sims - tau
+        active = neg & (margins > 0.0)
+        loss += float(np.sum(margins[active])) / (2 * n_neg)
+        coeff[active] = 1.0 / n_neg
     return loss, coeff, n_pos, n_neg
 
 
@@ -195,7 +184,7 @@ def _contrastive_grad(z: np.ndarray, labels: np.ndarray, tau: float):
     f, norms = _normalize_rows(z, "features")
     same = labels[:, None] == labels[None, :]
     loss, coeff, _, _ = _pair_coefficients(f @ f.T, same, tau)
-    df = (coeff + coeff.T) @ f
+    df = coeff @ f
     dz = (df - f * np.sum(f * df, axis=1, keepdims=True)) / norms[:, None]
     return loss, dz
 
@@ -264,8 +253,8 @@ def objective_grads(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
 
 
 def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
-               t0: float | None = None, init: AdapterModule | None = None,
-               return_head: bool = False):
+               t0: float | None = None,
+               init: AdapterModule | None = None) -> AdapterModule:
     """Train one adapter (and a discarded local head) on a single task.
 
     Args:
@@ -273,11 +262,9 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
         t0: reference task size C / T of the surrounding stream; defaults
             to this task's own class count (epoch budget epochs_base).
         init: adapter to continue from instead of a fresh initialization.
-        return_head: also return the trained (head_w, head_b) pair, which
-            run_sequence never keeps.
 
     Returns:
-        The trained AdapterModule, or (module, head) when return_head is set.
+        The trained AdapterModule; the local head is discarded.
     """
     meta, data = task.meta, task.data
     n = data.train_x.shape[0]
@@ -334,11 +321,8 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
                 params[name] -= lr * grad
             step += 1
 
-    module = AdapterModule(layers=(params["w_down"], params["w_up"]),
-                           bottleneck=b, meta=meta)
-    if return_head:
-        return module, (params["head_w"], params["head_b"])
-    return module
+    return AdapterModule(layers=(params["w_down"], params["w_up"]),
+                         bottleneck=b, meta=meta)
 
 
 def adapted_features(x: np.ndarray, adapter: AdapterModule,
@@ -458,6 +442,25 @@ def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
     return merge_symmetric(new, carried, w_b, w_a, merge_cfg)
 
 
+def run_config(spec: StreamSpec, train: TrainConfig,
+               merge_cfg: MergeConfig) -> dict:
+    """The flat `onea run` config that the three config objects spell.
+
+    Stream keys come from StreamSpec.to_dict, training keys are the
+    TrainConfig field names, merge keys are the MergeConfig field names
+    with sharpness_kappa as kappa and info_proxy as its value, and the two
+    seeds are stream_seed and train_seed.
+    """
+    stream = spec.to_dict()
+    stream["stream_seed"] = stream.pop("seed")
+    training = asdict(train)
+    training["train_seed"] = training.pop("seed")
+    merging = asdict(merge_cfg)
+    merging["kappa"] = merging.pop("sharpness_kappa")
+    merging["info_proxy"] = merge_cfg.info_proxy.value
+    return {**stream, **training, **merging}
+
+
 class _StrategyRun:
     """One strategy's carried model and accuracy record in run_strategies."""
 
@@ -565,19 +568,8 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
             run.step(idx, task, new, eval_x, eval_y, widths)
     total_s = time.perf_counter() - started
 
-    config_echo = {
-        **spec.to_dict(),
-        "lr": cfg.lr, "epochs_base": cfg.epochs_base,
-        "epochs_min": cfg.epochs_min, "epochs_max": cfg.epochs_max,
-        "beta": cfg.beta, "lambda_min": cfg.lambda_min,
-        "lambda_max": cfg.lambda_max, "k_decay": cfg.k_decay,
-        "tau_margin": cfg.tau_margin, "batch_size": cfg.batch_size,
-        "bottleneck": cfg.bottleneck, "cosine_lr": cfg.cosine_lr,
-        "quantile_q": merge_cfg.quantile_q,
-        "kappa": merge_cfg.sharpness_kappa, "delta": merge_cfg.delta,
-        "rank_eps": merge_cfg.rank_eps, "info_proxy": merge_cfg.info_proxy.value,
-    }
-    config_echo.pop("seed")
+    config_echo = run_config(spec, cfg, merge_cfg)
+    del config_echo["stream_seed"], config_echo["train_seed"]
     results = []
     for run in runs:
         report = RunReport(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onea import RunReport, load_module, save_module
-from onea.cli import main
+from onea.cli import RUN_DEFAULTS, main
 
 from conftest import make_module
 
@@ -144,6 +144,48 @@ def test_run_config_file_and_overrides(tmp_path):
     assert report.stream_seed == 5
 
 
+def test_run_defaults_keys_values_and_types():
+    want = {
+        "classes": 20, "tasks": 5, "gamma": 0.01, "order": "permuted",
+        "samples_per_class": 50, "stream_seed": 0,
+        "lr": 0.1, "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
+        "beta": 0.5, "lambda_min": 0.01, "lambda_max": 0.1, "k_decay": 2.3979,
+        "tau_margin": 0.07, "batch_size": 32, "bottleneck": 8,
+        "cosine_lr": False, "train_seed": 0,
+        "quantile_q": 0.5, "kappa": 10.0, "delta": 1e-6, "rank_eps": 1e-10,
+        "info_proxy": "class-count",
+        "strategies": ["one-a", "average"], "out_dir": "runs",
+    }
+    assert RUN_DEFAULTS == want
+    assert {k: type(v) for k, v in RUN_DEFAULTS.items()} == \
+        {k: type(v) for k, v in want.items()}
+
+
+def test_run_report_echoes_every_key(tmp_path):
+    out = tmp_path / "runs"
+    conf = {
+        "classes": 6, "tasks": 2, "gamma": 0.2, "order": "balanced",
+        "samples_per_class": 10, "stream_seed": 3,
+        "lr": 0.05, "epochs_base": 1, "epochs_min": 1, "epochs_max": 3,
+        "beta": 0.4, "lambda_min": 0.02, "lambda_max": 0.2, "k_decay": 1.5,
+        "tau_margin": 0.1, "batch_size": 7, "bottleneck": 4,
+        "cosine_lr": True, "train_seed": 5,
+        "quantile_q": 0.4, "kappa": 8.0, "delta": 1e-5, "rank_eps": 1e-9,
+        "info_proxy": "frobenius",
+        "strategies": ["symmetric"], "out_dir": str(out),
+    }
+    assert set(conf) == set(RUN_DEFAULTS)
+    assert all(conf[k] != RUN_DEFAULTS[k] for k in conf)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    assert main(["run", "--config", str(path)]) == 0
+    report = RunReport.from_json((out / "report-symmetric.json").read_text())
+    assert (report.stream_seed, report.train_seed) == (3, 5)
+    for key in ("stream_seed", "train_seed", "strategies", "out_dir"):
+        del conf[key]
+    assert report.config == conf
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--set", "no_such_key=1"],
     ["run", "--set", "classes"],                   # missing '='
@@ -220,6 +262,20 @@ def test_merge_error_exit_codes(tmp_path, capsys):
 
     assert main(["merge", str(pa), str(tmp_path / "absent.onea"),
                  "--out", str(out)]) == 4
+
+
+def test_merge_degenerate_base_exit_3(tmp_path, capsys):
+    _, new = _two_modules(tmp_path)
+    zero = tmp_path / "zero.onea"
+    # more samples than the new module, so the all-zero module is the base
+    save_module(make_module([np.zeros((4, 2)), np.zeros((2, 4))], task_id=1,
+                            class_ids=(0, 1), sample_count=40, bottleneck=2),
+                zero)
+    out = tmp_path / "out.onea"
+    assert main(["merge", str(zero), str(new), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: base matrix has no singular direction above noise\n"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- eval

@@ -12,6 +12,7 @@ from onea import (Backbone, ConfigError, MergeConfig, NumericError,
                   build_stream, classify, classify_batch, compute_prototypes,
                   contrastive_loss, epoch_schedule, fold, lambda_schedule,
                   run_sequence, run_strategies, serialize, train_task)
+from onea import sim
 from onea.counters import SVD_CALLS
 from onea.sim import objective, objective_grads
 from onea.stream import SyntheticDataset, Task
@@ -155,6 +156,44 @@ def test_contrastive_loss_guards():
         contrastive_loss(np.array([[0.0, 0.0], [1.0, 0.0]]), [0, 1], 0.07)
 
 
+def _pairwise_reference(sims, labels, tau):
+    """Loss and symmetric coefficient matrix, one i < j pair at a time."""
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = [(i, j) for i, j in pairs if labels[i] == labels[j]]
+    neg = [(i, j) for i, j in pairs if labels[i] != labels[j]]
+    coeff = np.zeros((n, n))
+    loss = 0.0
+    if pos:
+        loss += sum(1.0 - sims[i, j] for i, j in pos) / len(pos)
+        for i, j in pos:
+            coeff[i, j] = coeff[j, i] = -1.0 / len(pos)
+    if neg:
+        loss += sum(max(sims[i, j] - tau, 0.0) for i, j in neg) / len(neg)
+        for i, j in neg:
+            if sims[i, j] - tau > 0.0:
+                coeff[i, j] = coeff[j, i] = 1.0 / len(neg)
+    return loss, coeff, len(pos), len(neg)
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (2, 2), (6, 1),
+                                        (9, 3), (32, 5), (17, 17)])
+def test_pair_coefficients_match_pairwise_loop(n, classes):
+    rng = np.random.default_rng(n * 100 + classes)
+    labels = np.arange(n) % classes
+    rng.shuffle(labels)
+    z = rng.normal(size=(n, 5))
+    f = z / np.linalg.norm(z, axis=1, keepdims=True)
+    sims = f @ f.T
+    assert np.array_equal(sims, sims.T)
+    same = labels[:, None] == labels[None, :]
+    loss, coeff, n_pos, n_neg = sim._pair_coefficients(sims, same, 0.07)
+    want_loss, want_coeff, want_pos, want_neg = _pairwise_reference(sims, labels, 0.07)
+    assert (n_pos, n_neg) == (want_pos, want_neg)
+    assert np.array_equal(coeff, want_coeff)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-15)
+
+
 # ---------------------------------------------------------------- objective
 
 def test_objective_blends_terms():
@@ -251,14 +290,25 @@ def test_train_task_rejects_mismatched_init():
         train_task(stream.tasks[0], backbone, QUICK, init=wrong)
 
 
-def test_train_task_returns_head_when_asked():
+@pytest.mark.parametrize("cosine_lr, second_step", [(False, 1.0), (True, 0.5)])
+def test_train_task_cosine_lr_step_sizes(monkeypatch, cosine_lr, second_step):
+    # one batch per epoch and two epochs: the cosine schedule steps with
+    # lr at step 0 and lr * (1 + cos(pi/2)) / 2 = lr / 2 at step 1
+    seen = []
+
+    def constant_grads(h, y, params, lam, tau):
+        seen.append(np.array(params["w_down"]))
+        return 0.0, {name: np.ones_like(value) for name, value in params.items()}
+
+    monkeypatch.setattr(sim, "objective_grads", constant_grads)
     task = _tiny_stream().tasks[0]
-    backbone = Backbone.from_seed(32, 16, 0)
-    module, (head_w, head_b) = train_task(task, backbone, QUICK,
-                                          return_head=True)
-    assert head_w.shape == (16, task.meta.class_count)
-    assert head_b.shape == (task.meta.class_count,)
-    assert module.bottleneck == QUICK.bottleneck
+    cfg = TrainConfig(lr=0.1, epochs_base=2, epochs_min=2, epochs_max=2,
+                      batch_size=task.data.train_x.shape[0], cosine_lr=cosine_lr)
+    module = train_task(task, Backbone.from_seed(32, 16, 0), cfg)
+    assert len(seen) == 2
+    assert np.allclose(seen[0] - seen[1], 0.1, rtol=0.0, atol=1e-12)
+    assert np.allclose(seen[1] - module.layers[0], 0.1 * second_step,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_train_task_divergence_reports_config():
