@@ -30,14 +30,14 @@ from .stream import StreamSpec, TaskOrder, build_stream
 
 # every library default comes from the config dataclasses; only the
 # stream shape, the strategy list and the output directory are the CLI's own
+_DEFAULT_SPEC = StreamSpec(total_classes=20, num_tasks=5)
 RUN_DEFAULTS = {
-    **run_config(StreamSpec(total_classes=20, num_tasks=5), TrainConfig(),
-                 MergeConfig()),
+    **run_config(_DEFAULT_SPEC, TrainConfig(), MergeConfig()),
     "strategies": ["one-a", "average"],
     "out_dir": "runs",
 }
 
-_STREAM_KEYS = ("classes", "tasks", "gamma", "order", "samples_per_class")
+_STREAM_KEYS = tuple(k for k in _DEFAULT_SPEC.to_dict() if k != "seed")
 
 
 def _coerce(key: str, value):

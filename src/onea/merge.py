@@ -91,7 +91,8 @@ def _effective_rank(s: np.ndarray, rank_eps: float) -> int:
     return 0
 
 
-def thin_svd(w: np.ndarray, rank_eps: float = 1e-10) -> SingularDecomposition:
+def thin_svd(w: np.ndarray,
+             rank_eps: float = MergeConfig.rank_eps) -> SingularDecomposition:
     """Thin SVD with deterministic signs.
 
     Each U column is flipped so its largest-magnitude entry is positive

@@ -47,6 +47,7 @@ class RunReport:
         extra = set(raw) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"report has unknown fields: {sorted(extra)}")
+        _check_read_fields(raw)
         return cls(**raw)
 
     def canonical_bytes(self) -> bytes:
@@ -58,6 +59,35 @@ class RunReport:
         payload = asdict(self)
         payload.pop("timings")
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_read_fields(raw: dict) -> None:
+    """Types and the T x T shape of the report fields that eval and
+    compare read; T is the length of step_acc."""
+    steps = raw["step_acc"]
+    if not isinstance(steps, list) or not all(map(_is_number, steps)):
+        raise ConfigError("report field 'step_acc' must be a list of numbers")
+    t = len(steps)
+    rows = raw["acc_matrix"]
+    if not (isinstance(rows, list) and len(rows) == t and all(
+            isinstance(row, list) and len(row) == t
+            and all(v is None or _is_number(v) for v in row) for row in rows)):
+        raise ConfigError(f"report field 'acc_matrix' must be a {t}x{t} "
+                          "list of numbers and nulls")
+    counts = raw["class_counts"]
+    if not isinstance(counts, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in counts):
+        raise ConfigError("report field 'class_counts' must be a list of integers")
+    for name in ("config", "timings"):
+        if not isinstance(raw[name], dict):
+            raise ConfigError(f"report field '{name}' must be a JSON object")
+    merge_ms = raw["timings"].get("merge_ms", [])
+    if not isinstance(merge_ms, list) or not all(map(_is_number, merge_ms)):
+        raise ConfigError("report field 'timings.merge_ms' must be a list of numbers")
 
 
 def last_accuracy(report: RunReport) -> float:

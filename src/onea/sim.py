@@ -23,7 +23,7 @@ from .errors import ConfigError, NumericError, ShapeError, TrainingError
 from .merge import (MergeConfig, info_weights, merge_average, merge_modules,
                     merge_symmetric)
 from .metrics import RunReport
-from .stream import StreamSpec, Task, TaskStream
+from .stream import StreamSpec, Task, TaskStream, check_seed
 
 BACKBONE_DIM = 32
 
@@ -96,6 +96,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.bottleneck < 1:
             raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
+        check_seed("train seed", self.seed)
 
 
 def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
@@ -336,10 +337,9 @@ def adapted_features(x: np.ndarray, adapter: AdapterModule,
 
 @dataclass(frozen=True)
 class PrototypeBank:
-    """One mean feature vector per class, plus the producing task."""
+    """One mean feature vector per class."""
 
     prototypes: dict[int, np.ndarray]
-    source_task: dict[int, int]
 
     def __post_init__(self):
         for cid, vec in self.prototypes.items():
@@ -352,9 +352,7 @@ class PrototypeBank:
     def updated(self, other: "PrototypeBank") -> "PrototypeBank":
         protos = dict(self.prototypes)
         protos.update(other.prototypes)
-        sources = dict(self.source_task)
-        sources.update(other.source_task)
-        return PrototypeBank(prototypes=protos, source_task=sources)
+        return PrototypeBank(prototypes=protos)
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Class ids (ascending) and the row-normalized prototype matrix."""
@@ -370,24 +368,19 @@ def compute_prototypes(adapter: AdapterModule, backbone: Backbone,
     wanted = sorted(class_ids) if class_ids is not None else \
         sorted(int(c) for c in np.unique(data.train_y))
     z = adapted_features(data.train_x, adapter, backbone)
-    protos, sources = {}, {}
+    protos = {}
     for cid in wanted:
         mask = data.train_y == cid
         if not mask.any():
             raise ConfigError(f"class {cid} has no training samples")
         protos[int(cid)] = z[mask].mean(axis=0)
-        sources[int(cid)] = adapter.meta.task_id
-    return PrototypeBank(prototypes=protos, source_task=sources)
+    return PrototypeBank(prototypes=protos)
 
 
 def classify_batch(x: np.ndarray, adapter: AdapterModule, backbone: Backbone,
                    bank: PrototypeBank) -> np.ndarray:
     """Cosine nearest-prototype labels; ties resolve to the lowest class id."""
-    ids, protos = bank.matrix()
-    z = adapted_features(x, adapter, backbone)
-    f, _ = _normalize_rows(z, "features")
-    scores = f @ protos.T
-    return ids[np.argmax(scores, axis=1)]
+    return _predict_across_banks(x, [adapter], backbone, [bank])
 
 
 def classify(x: np.ndarray, adapter: AdapterModule, backbone: Backbone,
@@ -402,17 +395,20 @@ def classify(x: np.ndarray, adapter: AdapterModule, backbone: Backbone,
 
 
 def _predict_across_banks(x, adapters, backbone, banks) -> np.ndarray:
-    """Best cosine score across per-task prototype banks (no merging)."""
-    columns, ids = [], []
+    """Cosine nearest-prototype labels over (adapter, bank) members: the
+    best score wins and an exact tie goes to the lowest class id."""
+    best_ids = best = None
     for adapter, bank in zip(adapters, banks):
-        bank_ids, protos = bank.matrix()
+        ids, protos = bank.matrix()
         f, _ = _normalize_rows(adapted_features(x, adapter, backbone), "features")
-        columns.append(f @ protos.T)
-        ids.append(bank_ids)
-    ids = np.concatenate(ids)
-    scores = np.concatenate(columns, axis=1)
-    order = np.argsort(ids, kind="stable")  # lowest class id wins ties
-    return ids[order][np.argmax(scores[:, order], axis=1)]
+        scores = f @ protos.T
+        col = np.argmax(scores, axis=1)  # ids ascend: first max is lowest id
+        top, top_ids = scores[np.arange(col.size), col], ids[col]
+        if best is not None:
+            keep = (best > top) | ((best == top) & (best_ids < top_ids))
+            top, top_ids = np.where(keep, best, top), np.where(keep, best_ids, top_ids)
+        best, best_ids = top, top_ids
+    return best_ids
 
 
 FOLD_STRATEGIES = (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC)
@@ -429,7 +425,8 @@ def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
         n_prev: tasks already absorbed into carried (the average's weight).
     """
     if strategy not in FOLD_STRATEGIES:
-        raise ConfigError(f"fold supports one-a, average, symmetric; "
+        names = ", ".join(s.value for s in FOLD_STRATEGIES)
+        raise ConfigError(f"fold supports {names}; "
                           f"got '{getattr(strategy, 'value', strategy)}'")
     if strategy is Strategy.ONE_A:
         return merge_modules(new, carried, merge_cfg)
@@ -462,17 +459,17 @@ def run_config(spec: StreamSpec, train: TrainConfig,
 
 
 class _StrategyRun:
-    """One strategy's carried model and accuracy record in run_strategies."""
+    """One strategy's (adapter, prototype bank) members and accuracy record
+    in run_strategies: per-task appends a member at every task, the other
+    strategies replace their single member."""
 
     def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone,
                  cfg: TrainConfig, t0: float, merge_cfg: MergeConfig):
         self.strategy = strategy
         self.backbone, self.cfg, self.t0 = backbone, cfg, t0
         self.merge_cfg = merge_cfg
-        self.carried: AdapterModule | None = None   # merged or fine-tuned
-        self.bank: PrototypeBank | None = None
-        self.adapters: list[AdapterModule] = []     # per-task only
-        self.banks: list[PrototypeBank] = []        # per-task only
+        self.adapters: list[AdapterModule] = []
+        self.banks: list[PrototypeBank] = []
         self.acc_matrix: list[list[float | None]] = \
             [[None] * t_total for _ in range(t_total)]
         self.step_acc: list[float] = []
@@ -483,40 +480,35 @@ class _StrategyRun:
              eval_x: np.ndarray, eval_y: np.ndarray, widths: list[int]) -> None:
         """Absorb task idx (new is its freshly trained adapter), record
         prototypes for its classes and score all test data seen so far."""
+        carried = self.adapters[0] if self.adapters else None
         if self.strategy is Strategy.SINGLE_FINETUNE:
-            self.carried = new if self.carried is None else train_task(
-                task, self.backbone, self.cfg, t0=self.t0, init=self.carried)
+            adapter = new if carried is None else train_task(
+                task, self.backbone, self.cfg, t0=self.t0, init=carried)
             self.merge_ms.append(0.0)
         else:
             svd_start = SVD_CALLS.value
             tick = time.perf_counter()
-            if self.strategy is Strategy.PER_TASK:
-                self.adapters.append(new)
-            else:
-                self.carried = fold(self.strategy, self.carried, new, idx,
-                                    self.merge_cfg)
+            adapter = new if self.strategy is Strategy.PER_TASK else \
+                fold(self.strategy, carried, new, idx, self.merge_cfg)
             self.merge_ms.append((time.perf_counter() - tick) * 1000.0)
             self.svd_calls += SVD_CALLS.value - svd_start
 
-        if self.strategy is Strategy.PER_TASK:
-            self.banks.append(compute_prototypes(new, self.backbone, task.data,
-                                                 class_ids=task.meta.class_ids))
-            preds = _predict_across_banks(eval_x, self.adapters, self.backbone,
-                                          self.banks)
+        fresh = compute_prototypes(adapter, self.backbone, task.data,
+                                   class_ids=task.meta.class_ids)
+        if carried is None or self.strategy is Strategy.PER_TASK:
+            self.adapters.append(adapter)
+            self.banks.append(fresh)
         else:
-            fresh = compute_prototypes(self.carried, self.backbone, task.data,
-                                       class_ids=task.meta.class_ids)
-            self.bank = fresh if self.bank is None else self.bank.updated(fresh)
-            preds = classify_batch(eval_x, self.carried, self.backbone, self.bank)
+            self.adapters[0] = adapter
+            self.banks[0] = self.banks[0].updated(fresh)
+        preds = _predict_across_banks(eval_x, self.adapters, self.backbone,
+                                      self.banks)
         correct = preds == eval_y
         self.step_acc.append(float(np.mean(correct)))
         offset = 0
         for j, width in enumerate(widths):
             self.acc_matrix[j][idx] = float(np.mean(correct[offset:offset + width]))
             offset += width
-
-    def deployable(self) -> list[AdapterModule]:
-        return self.adapters if self.strategy is Strategy.PER_TASK else [self.carried]
 
 
 def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
@@ -583,7 +575,7 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
             svd_calls=run.svd_calls,
             timings={"merge_ms": run.merge_ms, "total_s": total_s},
         )
-        results.append((report, run.deployable()))
+        results.append((report, run.adapters))
     return results
 
 

@@ -28,6 +28,12 @@ class TaskOrder(enum.Enum):
     BALANCED = "balanced"
 
 
+def check_seed(name: str, seed) -> None:
+    """Seeds are numpy SeedSequence entropy: unsigned 64-bit ints."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit int, got {seed}")
+
+
 def _train_count(samples_per_class: int) -> int:
     """Training rows per class; the rest of the class is its test split."""
     return max(1, int(round(TRAIN_FRACTION * samples_per_class)))
@@ -56,8 +62,7 @@ class StreamSpec:
             raise ConfigError(
                 f"samples_per_class must be >= 3 so the {TRAIN_FRACTION:.0%} "
                 f"train split leaves test samples, got {self.samples_per_class}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must be an unsigned 64-bit int, got {self.seed}")
+        check_seed("stream seed", self.seed)
 
     def to_dict(self) -> dict:
         return {"classes": self.total_classes, "tasks": self.num_tasks,

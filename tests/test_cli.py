@@ -131,6 +131,17 @@ def test_run_rejects_empty_test_split_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_run_rejects_bad_train_seed_before_training(seed, tmp_path, capsys):
+    out = tmp_path / "runs"
+    argv = ["run", *RUN_ARGS, "--set", f"train_seed={seed}",
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "train seed" in err
+    assert not out.exists()
+
+
 def test_run_config_file_and_overrides(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"classes": 4, "tasks": 2,
@@ -304,6 +315,47 @@ def test_eval_error_exit_codes(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["eval", str(bad)]) == 2
     assert main(["eval", str(tmp_path / "absent.json")]) == 4
+
+
+_MALFORMED = {
+    "step_acc-string": {"step_acc": "ab"},
+    "step_acc-null": {"step_acc": [0.5, None]},
+    "acc_matrix-short": {"acc_matrix": [[0.5, 0.4]]},
+    "acc_matrix-short-row": {"acc_matrix": [[0.5, 0.4], [None]]},
+    "class_counts-string": {"class_counts": "ab"},
+    "timings-list": {"timings": [1.0]},
+    "merge_ms-string": {"timings": {"merge_ms": "ab", "total_s": 1.0}},
+    "config-list": {"config": ["classes", 4]},
+}
+
+
+def _report_payload(**fields):
+    payload = {
+        "strategy": "one-a", "stream_seed": 0, "train_seed": 0,
+        "class_counts": [2, 2], "acc_matrix": [[0.5, 0.4], [None, 0.6]],
+        "step_acc": [0.5, 0.5], "config": {"classes": 4, "tasks": 2},
+        "svd_calls": 2, "timings": {"merge_ms": [0.0, 0.1], "total_s": 1.0},
+        "schema_version": 1,
+    }
+    payload.update(fields)
+    return payload
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("fields", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_report_exit_2(command, fields, tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_report_payload()))
+    bad.write_text(json.dumps(_report_payload(**fields)))
+    assert main(["eval", str(good)]) == 0
+    assert main(["compare", str(good), str(good)]) == 0
+    capsys.readouterr()
+    argv = ["eval", str(bad)] if command == "eval" else \
+        ["compare", str(good), str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report")
+    assert next(iter(fields)) in err
 
 
 # ------------------------------------------------------------------ compare

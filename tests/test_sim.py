@@ -59,6 +59,7 @@ def test_backbone_features_are_rectified():
     {"epochs_min": 5, "epochs_max": 4}, {"lambda_min": 0.2, "lambda_max": 0.1},
     {"lambda_max": 1.5}, {"beta": -0.1}, {"k_decay": 0.0},
     {"tau_margin": 1.0}, {"batch_size": 0}, {"bottleneck": 0},
+    {"seed": -1}, {"seed": 2 ** 64},
 ])
 def test_train_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -352,7 +353,6 @@ def test_compute_prototypes_are_class_means():
     for cid in sorted(task.meta.class_ids):
         want = h[task.data.train_y == cid].mean(axis=0)
         assert np.allclose(bank.prototypes[cid], want, atol=1e-12)
-        assert bank.source_task[cid] == module.meta.task_id
 
 
 def test_compute_prototypes_missing_class():
@@ -365,27 +365,24 @@ def test_compute_prototypes_missing_class():
 
 def test_prototype_bank_rejects_zero_vector():
     with pytest.raises(NumericError):
-        PrototypeBank(prototypes={3: np.zeros(4)}, source_task={3: 1})
+        PrototypeBank(prototypes={3: np.zeros(4)})
 
 
 def test_prototype_bank_matrix_sorted_and_normalized():
     bank = PrototypeBank(prototypes={5: np.array([0.0, 2.0]),
-                                     1: np.array([3.0, 0.0])},
-                         source_task={5: 2, 1: 1})
+                                     1: np.array([3.0, 0.0])})
     ids, mat = bank.matrix()
     assert list(ids) == [1, 5]
     assert np.allclose(mat, np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_prototype_bank_updated_overrides():
-    a = PrototypeBank(prototypes={1: np.array([1.0, 0.0])}, source_task={1: 1})
+    a = PrototypeBank(prototypes={1: np.array([1.0, 0.0])})
     b = PrototypeBank(prototypes={1: np.array([0.0, 1.0]),
-                                  2: np.array([1.0, 1.0])},
-                      source_task={1: 2, 2: 2})
+                                  2: np.array([1.0, 1.0])})
     merged = a.updated(b)
     assert set(merged.prototypes) == {1, 2}
     assert np.array_equal(merged.prototypes[1], np.array([0.0, 1.0]))
-    assert merged.source_task[1] == 2
 
 
 # --------------------------------------------------------------- classifier
@@ -395,8 +392,7 @@ def _flat_setup():
     adapter = make_module([np.zeros((2, 1)), np.zeros((1, 2))],
                           class_ids=(0, 1), bottleneck=1)
     bank = PrototypeBank(prototypes={0: np.array([1.0, 0.0]),
-                                     1: np.array([0.0, 1.0])},
-                         source_task={0: 1, 1: 1})
+                                     1: np.array([0.0, 1.0])})
     return backbone, adapter, bank
 
 
@@ -429,6 +425,42 @@ def test_classify_rejects_zero_feature_rows():
     backbone, adapter, bank = _flat_setup()
     with pytest.raises(NumericError):
         classify_batch(np.array([[-1.0, -1.0]]), adapter, backbone, bank)
+
+
+@pytest.mark.parametrize("high_first", [True, False])
+def test_cross_bank_tie_breaks_to_lowest_id(high_first):
+    # both banks hold the same two directions under different class ids,
+    # so every sample ties across banks; the lower id must win either way
+    backbone, adapter, _ = _flat_setup()
+    high = PrototypeBank(prototypes={7: np.array([1.0, 0.0]),
+                                     9: np.array([0.0, 1.0])})
+    low = PrototypeBank(prototypes={2: np.array([1.0, 0.0]),
+                                    4: np.array([0.0, 1.0])})
+    banks = [high, low] if high_first else [low, high]
+    x = np.array([[3.0, 1.0], [0.5, 5.0], [2.0, 2.0]])
+    preds = sim._predict_across_banks(x, [adapter, adapter], backbone, banks)
+    assert list(preds) == [2, 4, 2]
+
+
+def test_predict_across_banks_matches_reference_loop():
+    # prototypes and samples come from a few grid directions, so exact
+    # score ties within and across banks are common
+    backbone, adapter, _ = _flat_setup()
+    grid = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        ids = rng.permutation(30)[:rng.integers(2, 12)]
+        groups = np.array_split(ids, rng.integers(1, min(4, ids.size) + 1))
+        banks = [PrototypeBank(prototypes={int(c): grid[rng.integers(4)]
+                                           for c in g}) for g in groups]
+        x = grid[rng.integers(4, size=20)] * rng.choice([0.5, 1.0, 3.0], (20, 1))
+        preds = sim._predict_across_banks(x, [adapter] * len(banks), backbone,
+                                          banks)
+        for row, pred in zip(x, preds):
+            f = row / np.linalg.norm(row)
+            scored = [(-float(f @ (v / np.linalg.norm(v))), cid)
+                      for bank in banks for cid, v in bank.prototypes.items()]
+            assert pred == min(scored)[1]
 
 
 # ------------------------------------------------------------- run_sequence
