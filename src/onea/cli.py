@@ -169,6 +169,7 @@ def cmd_merge(args) -> int:
                             info_proxy=_enum_value(InfoProxy, args.proxy,
                                                    "info_proxy"))
     strategy = _enum_value(Strategy, args.strategy, "strategy")
+    merged = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
     if strategy is Strategy.ONE_A:
         base, align = select_roles(new, accumulated)
         print(f"base: task {base.meta.task_id} ({base.meta.sample_count} samples), "
@@ -182,8 +183,7 @@ def cmd_merge(args) -> int:
         w_b, w_a = info_weights(accumulated.meta, new.meta, accumulated.layers[0],
                                 new.layers[0], merge_cfg)
         print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
-    merged = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
-    if strategy is Strategy.AVERAGE:
+    else:
         print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
     save_module(merged, args.out)
     print(f"wrote {args.out}")

@@ -30,8 +30,8 @@ class RunReport:
     timings: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -124,15 +124,14 @@ def forgetting(report: RunReport) -> float | None:
     return float(np.mean(drops))
 
 
-def weighted_average_accuracy(report: RunReport,
-                              class_counts: list[int] | None = None) -> float:
+def weighted_average_accuracy(report: RunReport) -> float:
     """Step accuracies weighted by the cumulative class count at each step.
 
     Convention: step t carries weight |classes seen through t| normalized
     over steps. The accumulated-class weighting is this artifact's choice;
     it is echoed in every report via class_counts.
     """
-    counts = report.class_counts if class_counts is None else class_counts
+    counts = report.class_counts
     if len(counts) != len(report.step_acc):
         raise ConfigError(
             f"{len(counts)} class counts for {len(report.step_acc)} steps")

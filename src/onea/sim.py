@@ -156,7 +156,7 @@ def _pair_coefficients(sims: np.ndarray, same: np.ndarray, tau: float):
         active = neg & (margins > 0.0)
         loss += float(np.sum(margins[active])) / (2 * n_neg)
         coeff[active] = 1.0 / n_neg
-    return loss, coeff, n_pos, n_neg
+    return loss, coeff
 
 
 def contrastive_loss(features: np.ndarray, labels, tau: float) -> float:
@@ -170,13 +170,10 @@ def contrastive_loss(features: np.ndarray, labels, tau: float) -> float:
         raise ShapeError(f"{labels.shape[0]} labels for {z.shape[0]} rows")
     if not 0.0 <= tau < 1.0:
         raise ConfigError(f"tau must lie in [0, 1), got {tau}")
-    f, _ = _normalize_rows(z, "features")
-    same = labels[:, None] == labels[None, :]
-    loss, _, n_pos, n_neg = _pair_coefficients(f @ f.T, same, tau)
-    if n_pos == 0 and n_neg == 0:
+    loss, _ = _contrastive_grad(z, labels, tau)
+    if z.shape[0] < 2:
         warnings.warn("batch holds no sample pairs; contrastive loss is 0",
                       RuntimeWarning, stacklevel=2)
-        return 0.0
     return loss
 
 
@@ -184,7 +181,7 @@ def _contrastive_grad(z: np.ndarray, labels: np.ndarray, tau: float):
     """Contrastive loss and its gradient with respect to unnormalized z."""
     f, norms = _normalize_rows(z, "features")
     same = labels[:, None] == labels[None, :]
-    loss, coeff, _, _ = _pair_coefficients(f @ f.T, same, tau)
+    loss, coeff = _pair_coefficients(f @ f.T, same, tau)
     df = coeff @ f
     dz = (df - f * np.sum(f * df, axis=1, keepdims=True)) / norms[:, None]
     return loss, dz
@@ -204,52 +201,47 @@ def _cross_entropy_grad(z: np.ndarray, y: np.ndarray, head_w: np.ndarray,
     return loss, dlogits @ head_w.T, z.T @ dlogits, dlogits.sum(axis=0)
 
 
-def objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
-              tau: float) -> tuple[float, dict]:
-    """Forward-only training objective for a batch of backbone features.
+def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
+               tau: float) -> tuple[float, dict, dict]:
+    """The training objective on a batch of backbone features: the loss,
+    its named terms and analytic gradients for every parameter in params.
 
-    Returns the scalar loss plus its named terms. With two or more classes
-    present the loss is (1 - lam) * cross-entropy + lam * contrastive; a
-    single-class batch trains on the contrastive term alone at full weight.
-    """
-    a = h @ params["w_down"]
-    z = h + np.maximum(a, 0.0) @ params["w_up"]
-    single = params["head_w"].shape[1] < 2
-    if single:
-        ctr, _ = _contrastive_grad(z, y, tau)
-        return ctr, {"ce": 0.0, "ctr": ctr}
-    ce, _, _, _ = _cross_entropy_grad(z, y, params["head_w"], params["head_b"])
-    ctr, _ = _contrastive_grad(z, y, tau)
-    return (1.0 - lam) * ce + lam * ctr, {"ce": ce, "ctr": ctr}
-
-
-def objective_grads(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
-                    tau: float) -> tuple[float, dict]:
-    """Loss and analytic gradients for every parameter in params.
-
-    Reverse-mode accumulation through the residual adapter and the local
-    linear head; the ReLU and hinge use the 0 subgradient at their kinks.
+    With two or more head columns the loss is (1 - lam) * cross-entropy +
+    lam * contrastive; a single-class head trains on the contrastive term
+    alone at full weight and gets zero gradients. Reverse-mode accumulation
+    runs through the residual adapter and the local linear head; the ReLU
+    and hinge use the 0 subgradient at their kinks.
     """
     w_down, w_up = params["w_down"], params["w_up"]
     head_w, head_b = params["head_w"], params["head_b"]
     a = h @ w_down
     relu_a = np.maximum(a, 0.0)
     z = h + relu_a @ w_up
-    single = head_w.shape[1] < 2
-
-    grads = {"head_w": np.zeros_like(head_w), "head_b": np.zeros_like(head_b)}
-    if single:
-        loss, dz = _contrastive_grad(z, y, tau)
+    ctr, dz = _contrastive_grad(z, y, tau)
+    if head_w.shape[1] < 2:
+        loss, ce = ctr, 0.0
+        grads = {"head_w": np.zeros_like(head_w), "head_b": np.zeros_like(head_b)}
     else:
         ce, dz_ce, dhw, dhb = _cross_entropy_grad(z, y, head_w, head_b)
-        ctr, dz_ctr = _contrastive_grad(z, y, tau)
         loss = (1.0 - lam) * ce + lam * ctr
-        dz = (1.0 - lam) * dz_ce + lam * dz_ctr
-        grads["head_w"] = (1.0 - lam) * dhw
-        grads["head_b"] = (1.0 - lam) * dhb
+        dz = (1.0 - lam) * dz_ce + lam * dz
+        grads = {"head_w": (1.0 - lam) * dhw, "head_b": (1.0 - lam) * dhb}
     grads["w_up"] = relu_a.T @ dz
-    da = (dz @ w_up.T) * (a > 0.0)
-    grads["w_down"] = h.T @ da
+    grads["w_down"] = h.T @ ((dz @ w_up.T) * (a > 0.0))
+    return loss, {"ce": ce, "ctr": ctr}, grads
+
+
+def objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
+              tau: float) -> tuple[float, dict]:
+    """The training objective's loss and its named terms ("ce", "ctr")."""
+    loss, terms, _ = _objective(h, y, params, lam, tau)
+    return loss, terms
+
+
+def objective_grads(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
+                    tau: float) -> tuple[float, dict]:
+    """The training objective's loss and its gradient for every parameter."""
+    loss, _, grads = _objective(h, y, params, lam, tau)
     return loss, grads
 
 
@@ -282,7 +274,7 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
     b = cfg.bottleneck
 
     if init is not None:
-        if len(init.layers) != 2 or init.layers[0].shape != (d, b):
+        if tuple(layer.shape for layer in init.layers) != ((d, b), (b, d)):
             raise ShapeError("init adapter does not match backbone/bottleneck dims")
         w_down = np.array(init.layers[0])
         w_up = np.array(init.layers[1])
@@ -342,12 +334,12 @@ class PrototypeBank:
     prototypes: dict[int, np.ndarray]
 
     def __post_init__(self):
-        for cid, vec in self.prototypes.items():
-            arr = np.asarray(vec, dtype=np.float64).reshape(-1)
+        protos = {cid: freeze(np.reshape(vec, -1))
+                  for cid, vec in self.prototypes.items()}
+        for cid, arr in protos.items():
             if np.linalg.norm(arr) == 0.0:
                 raise NumericError(f"prototype for class {cid} has zero norm")
-            arr.flags.writeable = False
-            self.prototypes[cid] = arr
+        object.__setattr__(self, "prototypes", protos)
 
     def updated(self, other: "PrototypeBank") -> "PrototypeBank":
         protos = dict(self.prototypes)

@@ -9,6 +9,7 @@ regenerated from the seed on demand and never serialized.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class TaskOrder(enum.Enum):
 
 
 def check_seed(name: str, seed) -> None:
-    """Seeds are numpy SeedSequence entropy: unsigned 64-bit ints."""
-    if not 0 <= seed < 2 ** 64:
+    """Seeds are numpy SeedSequence entropy: unsigned 64-bit ints (numpy
+    integers pass, bools do not)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or not 0 <= seed < 2 ** 64:
         raise ConfigError(f"{name} must be an unsigned 64-bit int, got {seed}")
 
 

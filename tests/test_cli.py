@@ -264,7 +264,10 @@ def test_merge_error_exit_codes(tmp_path, capsys):
     save_module(make_module([np.ones((6, 3)), np.ones((3, 6))], task_id=3,
                             bottleneck=3), other)
     out = tmp_path / "out.onea"
-    assert main(["merge", str(pa), str(other), "--out", str(out)]) == 2
+    for strategy in ("one-a", "average", "symmetric"):
+        assert main(["merge", str(pa), str(other), "--out", str(out),
+                     "--strategy", strategy]) == 2
+        assert capsys.readouterr().out == ""
 
     corrupt = tmp_path / "corrupt.onea"
     corrupt.write_bytes(b"JUNKJUNKJUNK")

@@ -1,6 +1,7 @@
 """Report container and the accuracy-table metrics."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,8 +110,8 @@ def test_weighted_average_accuracy_hand_value():
 
 
 def test_weighted_average_accuracy_override_counts():
-    report = _report()
-    flat = weighted_average_accuracy(report, class_counts=[1, 1, 1])
+    report = replace(_report(), class_counts=[1, 1, 1])
+    flat = weighted_average_accuracy(report)
     weights = np.array([1.0, 2.0, 3.0])
     want = float(weights @ np.array(report.step_acc) / weights.sum())
     assert flat == pytest.approx(want, abs=1e-15)
@@ -118,9 +119,9 @@ def test_weighted_average_accuracy_override_counts():
 
 def test_weighted_average_accuracy_guards():
     with pytest.raises(ConfigError):
-        weighted_average_accuracy(_report(), class_counts=[1, 2])
+        weighted_average_accuracy(replace(_report(), class_counts=[1, 2]))
     with pytest.raises(ConfigError):
-        weighted_average_accuracy(_report(), class_counts=[1, 0, 1])
+        weighted_average_accuracy(replace(_report(), class_counts=[1, 0, 1]))
     empty = _report(class_counts=[], step_acc=[], acc_matrix=[])
     with pytest.raises(ConfigError):
         weighted_average_accuracy(empty)

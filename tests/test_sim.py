@@ -59,7 +59,7 @@ def test_backbone_features_are_rectified():
     {"epochs_min": 5, "epochs_max": 4}, {"lambda_min": 0.2, "lambda_max": 0.1},
     {"lambda_max": 1.5}, {"beta": -0.1}, {"k_decay": 0.0},
     {"tau_margin": 1.0}, {"batch_size": 0}, {"bottleneck": 0},
-    {"seed": -1}, {"seed": 2 ** 64},
+    {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5}, {"seed": True},
 ])
 def test_train_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -174,7 +174,7 @@ def _pairwise_reference(sims, labels, tau):
         for i, j in neg:
             if sims[i, j] - tau > 0.0:
                 coeff[i, j] = coeff[j, i] = 1.0 / len(neg)
-    return loss, coeff, len(pos), len(neg)
+    return loss, coeff
 
 
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (2, 2), (6, 1),
@@ -188,9 +188,8 @@ def test_pair_coefficients_match_pairwise_loop(n, classes):
     sims = f @ f.T
     assert np.array_equal(sims, sims.T)
     same = labels[:, None] == labels[None, :]
-    loss, coeff, n_pos, n_neg = sim._pair_coefficients(sims, same, 0.07)
-    want_loss, want_coeff, want_pos, want_neg = _pairwise_reference(sims, labels, 0.07)
-    assert (n_pos, n_neg) == (want_pos, want_neg)
+    loss, coeff = sim._pair_coefficients(sims, same, 0.07)
+    want_loss, want_coeff = _pairwise_reference(sims, labels, 0.07)
     assert np.array_equal(coeff, want_coeff)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-15)
 
@@ -286,9 +285,13 @@ def test_train_task_warm_start_continues():
 def test_train_task_rejects_mismatched_init():
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    wrong = make_module([np.zeros((16, 2)), np.zeros((2, 16))], bottleneck=2)
-    with pytest.raises(ShapeError):
-        train_task(stream.tasks[0], backbone, QUICK, init=wrong)
+    b = QUICK.bottleneck
+    for layers in ([np.zeros((16, 2)), np.zeros((2, 16))],
+                   [np.zeros((16, b)), np.zeros((b, 17))],
+                   [np.zeros((16, b)), np.zeros((b + 1, 16))]):
+        wrong = make_module(layers, bottleneck=layers[0].shape[1])
+        with pytest.raises(ShapeError):
+            train_task(stream.tasks[0], backbone, QUICK, init=wrong)
 
 
 @pytest.mark.parametrize("cosine_lr, second_step", [(False, 1.0), (True, 0.5)])
@@ -383,6 +386,18 @@ def test_prototype_bank_updated_overrides():
     merged = a.updated(b)
     assert set(merged.prototypes) == {1, 2}
     assert np.array_equal(merged.prototypes[1], np.array([0.0, 1.0]))
+
+
+def test_prototype_bank_keeps_its_own_copy():
+    vec = np.array([1.0, 0.0])
+    given = {1: vec}
+    bank = PrototypeBank(prototypes=given)
+    given[1] = np.array([0.0, 1.0])
+    given[2] = np.array([1.0, 1.0])
+    vec[0] = 5.0
+    assert set(bank.prototypes) == {1}
+    assert np.array_equal(bank.prototypes[1], [1.0, 0.0])
+    assert not bank.prototypes[1].flags.writeable
 
 
 # --------------------------------------------------------------- classifier

@@ -89,11 +89,18 @@ def test_allocate_partition_property(data, gamma, classes):
 @pytest.mark.parametrize("kwargs", [
     {"total_classes": 1}, {"num_tasks": 0}, {"num_tasks": 21},
     {"gamma": 0.0}, {"gamma": 1.0001}, {"order": "permuted"},
-    {"samples_per_class": 0}, {"seed": -1},
+    {"samples_per_class": 0}, {"seed": -1}, {"seed": 1.5}, {"seed": True},
 ])
 def test_stream_spec_validation(kwargs):
     with pytest.raises(ConfigError):
         _spec(**kwargs)
+
+
+def test_numpy_integer_seeds_are_accepted():
+    spec = _spec(seed=np.uint64(2 ** 64 - 1))
+    assert build_stream(_spec(seed=np.int64(7))).manifest() == \
+        build_stream(_spec(seed=7)).manifest()
+    assert spec.seed == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("samples_per_class", [1, 2])
