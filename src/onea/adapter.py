@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import ADAPTER_FORWARDS
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import (ConfigError, FormatError, NumericError, ShapeError,
+                     check_int)
 
 MAGIC = b"ONEA"
 FORMAT_VERSION = 1
@@ -50,14 +51,16 @@ class TaskMeta:
     sample_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "class_ids",
-                           frozenset(int(c) for c in self.class_ids))
-        if self.task_id < 1:
-            raise ConfigError(f"task_id must be >= 1, got {self.task_id}")
+        object.__setattr__(self, "task_id", check_int("task_id", self.task_id, 1))
+        object.__setattr__(self, "sample_count",
+                           check_int("sample_count", self.sample_count, 0))
+        # every fold rebuilds its meta through union; skip the full rule
+        # for ids that are already plain ints
+        object.__setattr__(self, "class_ids", frozenset(
+            c if type(c) is int else check_int("class id", c)
+            for c in self.class_ids))
         if not self.class_ids:
             raise ConfigError("class_ids must be non-empty")
-        if self.sample_count < 0:
-            raise ConfigError(f"sample_count must be >= 0, got {self.sample_count}")
 
     @property
     def class_count(self) -> int:
@@ -88,8 +91,7 @@ class AdapterModule:
     meta: TaskMeta
 
     def __post_init__(self):
-        if self.bottleneck < 1:
-            raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
+        object.__setattr__(self, "bottleneck", check_int("bottleneck", self.bottleneck, 1))
         frozen = tuple(freeze(as_matrix(w, f"layers[{i}]"))
                        for i, w in enumerate(self.layers))
         object.__setattr__(self, "layers", frozen)
@@ -183,18 +185,26 @@ def deserialize(data: bytes) -> AdapterModule:
     layers_spec = header["layers"]
     if not isinstance(layers_spec, list) or not layers_spec:
         raise FormatError("layer list must be non-empty", 12)
-    if header["class_count"] != len(header["class_ids"]):
+    try:
+        meta = TaskMeta(task_id=header["task_id"], class_ids=header["class_ids"],
+                        sample_count=header["sample_count"])
+        bottleneck = check_int("bottleneck", header["bottleneck"], 1)
+        class_count = check_int("class_count", header["class_count"])
+    except (ConfigError, TypeError) as exc:
+        raise FormatError(f"header fields invalid: {exc}", 12) from None
+    if len(header["class_ids"]) != meta.class_count:
+        raise FormatError("class_ids holds duplicate ids", 12)
+    if class_count != meta.class_count:
         raise FormatError("class_count disagrees with class_ids", 12)
 
     cursor = 12 + header_len
     layers = []
     for i, shape in enumerate(layers_spec):
         try:
-            rows, cols = int(shape["rows"]), int(shape["cols"])
-        except (KeyError, TypeError, ValueError):
-            raise FormatError(f"layer {i} shape entry is malformed", 12) from None
-        if rows < 1 or cols < 1:
-            raise FormatError(f"layer {i} has non-positive shape", 12)
+            rows = check_int(f"layer {i} rows", shape["rows"], 1)
+            cols = check_int(f"layer {i} cols", shape["cols"], 1)
+        except (KeyError, TypeError, ConfigError) as exc:
+            raise FormatError(f"layer {i} shape entry is malformed: {exc}", 12) from None
         nbytes = rows * cols * 4
         if len(data) < cursor + nbytes:
             raise FormatError(
@@ -207,14 +217,7 @@ def deserialize(data: bytes) -> AdapterModule:
     if cursor != len(data):
         raise FormatError(f"{len(data) - cursor} trailing bytes after payload", cursor)
 
-    try:
-        meta = TaskMeta(task_id=header["task_id"],
-                        class_ids=frozenset(header["class_ids"]),
-                        sample_count=header["sample_count"])
-        return AdapterModule(layers=tuple(layers),
-                             bottleneck=header["bottleneck"], meta=meta)
-    except (ConfigError, TypeError) as exc:
-        raise FormatError(f"header fields invalid: {exc}", 12) from None
+    return AdapterModule(layers=tuple(layers), bottleneck=bottleneck, meta=meta)
 
 
 def save_module(module: AdapterModule, path) -> None:

@@ -19,7 +19,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .adapter import load_module, save_module
-from .errors import ConfigError, FormatError, NumericError, OneaError
+from .errors import (ConfigError, FormatError, NumericError, OneaError,
+                     check_int)
 from .merge import (InfoProxy, MergeConfig, info_weights, select_roles,
                     thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
@@ -48,9 +49,7 @@ def _coerce(key: str, value):
             raise ConfigError(f"config key '{key}' must be a boolean, got {value!r}")
         return value
     if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
-        return value
+        return check_int(f"config key '{key}'", value)
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
@@ -64,8 +63,8 @@ def _coerce(key: str, value):
     return list(value)
 
 
-def _load_run_config(path: str | None, overrides: list[str] | None) -> dict:
-    conf = dict(RUN_DEFAULTS)
+def _config_items(path: str | None, overrides: list[str] | None):
+    """(key, value) pairs from the config file, then from --set flags."""
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -74,20 +73,23 @@ def _load_run_config(path: str | None, overrides: list[str] | None) -> dict:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        for key, value in loaded.items():
-            if key not in RUN_DEFAULTS:
-                raise ConfigError(f"unknown config key '{key}'")
-            conf[key] = _coerce(key, value)
+        yield from loaded.items()
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
-        if key not in RUN_DEFAULTS:
-            raise ConfigError(f"unknown config key '{key}'")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        yield key, value
+
+
+def _load_run_config(path: str | None, overrides: list[str] | None) -> dict:
+    conf = dict(RUN_DEFAULTS)
+    for key, value in _config_items(path, overrides):
+        if key not in RUN_DEFAULTS:
+            raise ConfigError(f"unknown config key '{key}'")
         conf[key] = _coerce(key, value)
     return conf
 
@@ -131,8 +133,7 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 def cmd_gen_stream(args) -> int:
     spec = StreamSpec(total_classes=args.classes, num_tasks=args.tasks,
-                      gamma=args.gamma,
-                      order=_enum_value(TaskOrder, args.order, "order"),
+                      gamma=args.gamma, order=TaskOrder(args.order),
                       samples_per_class=args.samples_per_class, seed=args.seed)
     _dump_json(build_stream(spec).manifest(), args.out)
     return 0
@@ -166,9 +167,8 @@ def cmd_merge(args) -> int:
     new = load_module(args.new)
     merge_cfg = MergeConfig(quantile_q=args.quantile_q, sharpness_kappa=args.kappa,
                             delta=args.delta, rank_eps=args.rank_eps,
-                            info_proxy=_enum_value(InfoProxy, args.proxy,
-                                                   "info_proxy"))
-    strategy = _enum_value(Strategy, args.strategy, "strategy")
+                            info_proxy=InfoProxy(args.proxy))
+    strategy = Strategy(args.strategy)
     merged = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
     if strategy is Strategy.ONE_A:
         base, align = select_roles(new, accumulated)

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and check_int, the one
+rule every integer field and argument is validated by.
 
 The CLI maps these onto exit codes: ConfigError and ShapeError are user
 errors (exit 2), NumericError and its subclasses are numeric failures
 (exit 3), FormatError and plain OSError are I/O failures (exit 4).
 """
+
+import numbers
 
 
 class OneaError(Exception):
@@ -36,3 +39,18 @@ class DegenerateBaseError(NumericError):
 
 class TrainingError(NumericError):
     """Training diverged; the message echoes seed and config for replay."""
+
+
+def check_int(name: str, value, low: int | None = None,
+              high: int | None = None) -> int:
+    """The package's one integer rule: value must be a Python or numpy
+    integer, never a bool, at least low and at most high where given;
+    returns it as a Python int."""
+    if type(value) is not int:  # plain ints skip the slow numbers.Integral check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ConfigError(f"{name} must {bounds}, got {value}")
+    return value

@@ -18,7 +18,7 @@ import numpy as np
 from .adapter import AdapterModule, TaskMeta, as_matrix, freeze, mergeable
 from .counters import SVD_CALLS
 from .errors import (ConfigError, DegenerateBaseError, NumericError,
-                     ShapeError)
+                     ShapeError, check_int)
 
 
 class InfoProxy(enum.Enum):
@@ -269,8 +269,7 @@ def merge_modules(new: AdapterModule, accumulated: AdapterModule | None,
 def merge_average(new: AdapterModule, accumulated: AdapterModule,
                   n_prev_tasks: int) -> AdapterModule:
     """Running per-entry mean: (n * accumulated + new) / (n + 1)."""
-    if n_prev_tasks < 1:
-        raise ConfigError(f"n_prev_tasks must be >= 1, got {n_prev_tasks}")
+    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1)
     if not mergeable(new, accumulated):
         raise ShapeError("modules are not mergeable: layer shapes differ")
     n = float(n_prev_tasks)

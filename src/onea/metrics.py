@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +68,12 @@ def _is_number(value) -> bool:
 def _check_read_fields(raw: dict) -> None:
     """Types and the T x T shape of the report fields that eval and
     compare read; T is the length of step_acc."""
+    if check_int("report field 'schema_version'", raw["schema_version"]) \
+            != SCHEMA_VERSION:
+        raise ConfigError(f"report field 'schema_version' must be {SCHEMA_VERSION}, "
+                          f"got {raw['schema_version']}")
+    for name in ("stream_seed", "train_seed", "svd_calls"):
+        check_int(f"report field '{name}'", raw[name], 0)
     steps = raw["step_acc"]
     if not isinstance(steps, list) or not all(map(_is_number, steps)):
         raise ConfigError("report field 'step_acc' must be a list of numbers")
@@ -79,9 +85,10 @@ def _check_read_fields(raw: dict) -> None:
         raise ConfigError(f"report field 'acc_matrix' must be a {t}x{t} "
                           "list of numbers and nulls")
     counts = raw["class_counts"]
-    if not isinstance(counts, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in counts):
+    if not isinstance(counts, list):
         raise ConfigError("report field 'class_counts' must be a list of integers")
+    for n in counts:
+        check_int("report field 'class_counts' entry", n)
     for name in ("config", "timings"):
         if not isinstance(raw[name], dict):
             raise ConfigError(f"report field '{name}' must be a JSON object")

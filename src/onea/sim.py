@@ -19,11 +19,12 @@ import numpy as np
 
 from .adapter import AdapterModule, adapter_forward, as_matrix, freeze
 from .counters import SVD_CALLS
-from .errors import ConfigError, NumericError, ShapeError, TrainingError
+from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
+                     check_int)
 from .merge import (MergeConfig, info_weights, merge_average, merge_modules,
                     merge_symmetric)
 from .metrics import RunReport
-from .stream import StreamSpec, Task, TaskStream, check_seed
+from .stream import MAX_SEED, StreamSpec, Task, TaskStream
 
 BACKBONE_DIM = 32
 
@@ -77,13 +78,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("epochs_base", 1), ("epochs_min", 0),
+                          ("epochs_max", self.epochs_min), ("batch_size", 1),
+                          ("bottleneck", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
+        if not isinstance(self.cosine_lr, bool):
+            raise ConfigError(f"cosine_lr must be a boolean, got {self.cosine_lr!r}")
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.epochs_base < 1:
-            raise ConfigError(f"epochs_base must be >= 1, got {self.epochs_base}")
-        if self.epochs_min < 0 or self.epochs_min > self.epochs_max:
-            raise ConfigError(f"need 0 <= epochs_min <= epochs_max, got "
-                              f"{self.epochs_min}..{self.epochs_max}")
         if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
             raise ConfigError("need 0 <= lambda_min <= lambda_max <= 1")
         if self.beta < 0.0:
@@ -92,11 +95,6 @@ class TrainConfig:
             raise ConfigError(f"k_decay must be > 0, got {self.k_decay}")
         if not 0.0 <= self.tau_margin < 1.0:
             raise ConfigError(f"tau_margin must lie in [0, 1), got {self.tau_margin}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.bottleneck < 1:
-            raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
-        check_seed("train seed", self.seed)
 
 
 def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
@@ -106,8 +104,7 @@ def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
     Arranged as lambda_max + (lambda_min - lambda_max) * (1 - exp(...)) so
     class_count == 1 returns lambda_max exactly.
     """
-    if class_count < 1:
-        raise ConfigError(f"class_count must be >= 1, got {class_count}")
+    class_count = check_int("class_count", class_count, 1)
     decay = 1.0 - math.exp(-cfg.k_decay * (class_count - 1))
     return cfg.lambda_max + (cfg.lambda_min - cfg.lambda_max) * decay
 
@@ -115,14 +112,12 @@ def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
 def epoch_schedule(class_count: int, total_classes: int, num_tasks: int,
                    cfg: TrainConfig) -> int:
     """Epoch budget scaled by task size relative to the balanced size C/T."""
-    if total_classes < 1 or num_tasks < 1:
-        raise ConfigError("total_classes and num_tasks must be >= 1")
-    return _epochs_for(class_count, total_classes / num_tasks, cfg)
+    return _epochs_for(class_count, check_int("total_classes", total_classes, 1)
+                       / check_int("num_tasks", num_tasks, 1), cfg)
 
 
 def _epochs_for(class_count: int, t0: float, cfg: TrainConfig) -> int:
-    if class_count < 1:
-        raise ConfigError(f"class_count must be >= 1, got {class_count}")
+    class_count = check_int("class_count", class_count, 1)
     if t0 <= 0.0:
         raise ConfigError(f"reference task size must be > 0, got {t0}")
     raw = cfg.epochs_base * (class_count / t0) ** cfg.beta

@@ -9,32 +9,24 @@ regenerated from the seed on demand and never serialized.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adapter import TaskMeta, freeze
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 FEATURE_DIM = 32       # input dimension of every synthetic sample
 MEAN_RADIUS = 4.0      # class means are drawn uniformly on this sphere
 NOISE_SCALE = 1.0      # isotropic stddev around each class mean
 TRAIN_FRACTION = 0.8
+MAX_SEED = 2 ** 64 - 1  # seeds are numpy SeedSequence entropy: unsigned 64-bit
 
 
 class TaskOrder(enum.Enum):
     PERMUTED_HEAD_TAIL = "permuted"
     DESCENDING = "descending"
     BALANCED = "balanced"
-
-
-def check_seed(name: str, seed) -> None:
-    """Seeds are numpy SeedSequence entropy: unsigned 64-bit ints (numpy
-    integers pass, bools do not)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-            or not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{name} must be an unsigned 64-bit int, got {seed}")
 
 
 def _train_count(samples_per_class: int) -> int:
@@ -52,11 +44,12 @@ class StreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_classes < 2:
-            raise ConfigError(f"total_classes must be >= 2, got {self.total_classes}")
-        if not 1 <= self.num_tasks <= self.total_classes:
-            raise ConfigError(
-                f"num_tasks must lie in [1, {self.total_classes}], got {self.num_tasks}")
+        c = check_int("total_classes", self.total_classes, 2)
+        object.__setattr__(self, "total_classes", c)
+        object.__setattr__(self, "num_tasks", check_int("num_tasks", self.num_tasks, 1, c))
+        object.__setattr__(self, "samples_per_class",
+                           check_int("samples_per_class", self.samples_per_class))
+        object.__setattr__(self, "seed", check_int("stream seed", self.seed, 0, MAX_SEED))
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not isinstance(self.order, TaskOrder):
@@ -65,7 +58,6 @@ class StreamSpec:
             raise ConfigError(
                 f"samples_per_class must be >= 3 so the {TRAIN_FRACTION:.0%} "
                 f"train split leaves test samples, got {self.samples_per_class}")
-        check_seed("stream seed", self.seed)
 
     def to_dict(self) -> dict:
         return {"classes": self.total_classes, "tasks": self.num_tasks,
@@ -117,8 +109,7 @@ class TaskStream:
 
 def class_ratios(total_classes: int, gamma: float) -> np.ndarray:
     """Exponential long-tail curve r_k = gamma ** (k / (C - 1))."""
-    if total_classes < 2:
-        raise ConfigError(f"total_classes must be >= 2, got {total_classes}")
+    total_classes = check_int("total_classes", total_classes, 2)
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
     k = np.arange(total_classes, dtype=np.float64)
@@ -209,7 +200,7 @@ def build_stream(spec: StreamSpec) -> TaskStream:
                                 test_x=np.concatenate(test_x),
                                 test_y=np.concatenate(test_y))
         meta = TaskMeta(task_id=position,
-                        class_ids=frozenset(int(x) for x in classes),
+                        class_ids=frozenset(classes),
                         sample_count=len(classes) * n_train)
         tasks.append(Task(meta=meta, data=data))
     return TaskStream(spec=spec, tasks=tuple(tasks))

@@ -354,6 +354,33 @@ def test_trailing_bytes_report_payload_end():
     assert err.value.offset == len(data)
 
 
+def _set_layer(field, value):
+    return lambda h: h["layers"][0].__setitem__(field, value)
+
+
+_BAD_HEADERS = {
+    "task_id-float": lambda h: h.__setitem__("task_id", 3.5),
+    "task_id-bool": lambda h: h.__setitem__("task_id", True),
+    "sample_count-float": lambda h: h.__setitem__("sample_count", 120.5),
+    "bottleneck-float": lambda h: h.__setitem__("bottleneck", 2.5),
+    "class_count-float": lambda h: h.__setitem__("class_count", 3.0),
+    "rows-float": _set_layer("rows", 4.9),
+    "cols-string": _set_layer("cols", "2"),
+    "class_id-float": lambda h: h.__setitem__("class_ids", [5, 9, 11.5]),
+    "class_ids-letters": lambda h: h.__setitem__("class_ids", "abc"),
+    "class_ids-digits": lambda h: h.__setitem__("class_ids", "123"),
+    "class_ids-duplicate": lambda h: h.__setitem__("class_ids", [5, 5, 9]),
+}
+
+
+@pytest.mark.parametrize("mutate", _BAD_HEADERS.values(), ids=_BAD_HEADERS.keys())
+def test_non_integer_header_fields_offset_12(mutate):
+    bad = _rebuild(serialize(_sample_module()), mutate)
+    with pytest.raises(FormatError) as err:
+        deserialize(bad)
+    assert err.value.offset == 12
+
+
 def test_invalid_header_fields_offset_12():
     data = serialize(_sample_module())
     bad = _rebuild(data, lambda h: h.__setitem__("task_id", 0))

@@ -274,6 +274,15 @@ def test_merge_error_exit_codes(tmp_path, capsys):
     assert main(["merge", str(pa), str(corrupt), "--out", str(out)]) == 4
     assert "byte offset" in capsys.readouterr().err
 
+    # same-length header edits: duplicate class ids, and a string of ids
+    data = pa.read_bytes()
+    for name, ids in (("dup", b"[1,1]"), ("str", b'"ab" ')):
+        bad = tmp_path / f"{name}.onea"
+        bad.write_bytes(data.replace(b'"class_ids":[0,1]', b'"class_ids":' + ids))
+        assert bad.read_bytes() != data
+        assert main(["merge", str(pa), str(bad), "--out", str(out)]) == 4
+        assert "byte offset 12" in capsys.readouterr().err
+
     assert main(["merge", str(pa), str(tmp_path / "absent.onea"),
                  "--out", str(out)]) == 4
 
@@ -329,6 +338,12 @@ _MALFORMED = {
     "timings-list": {"timings": [1.0]},
     "merge_ms-string": {"timings": {"merge_ms": "ab", "total_s": 1.0}},
     "config-list": {"config": ["classes", 4]},
+    "schema_version-99": {"schema_version": 99},
+    "schema_version-string": {"schema_version": "x"},
+    "stream_seed-float": {"stream_seed": 1.5},
+    "train_seed-string": {"train_seed": "x"},
+    "svd_calls-bool": {"svd_calls": True},
+    "svd_calls-negative": {"svd_calls": -1},
 }
 
 

@@ -1,0 +1,83 @@
+"""The one integer rule: every integer field and argument goes through
+check_int, so a float, a bool or a string fails at construction with
+ConfigError, and a numpy integer is accepted and stored as a Python int."""
+
+import numpy as np
+import pytest
+
+from onea import (AdapterModule, ConfigError, StreamSpec, TaskMeta,
+                  TrainConfig, class_ratios, epoch_schedule, lambda_schedule,
+                  merge_average)
+from onea.cli import _coerce
+from onea.errors import check_int
+
+from conftest import make_module
+
+
+def _spec(**kwargs):
+    base = dict(total_classes=6, num_tasks=3, samples_per_class=10, seed=1)
+    base.update(kwargs)
+    return StreamSpec(**base)
+
+
+def _meta(**kwargs):
+    base = dict(task_id=1, class_ids=frozenset({0}), sample_count=1)
+    base.update(kwargs)
+    return TaskMeta(**base)
+
+
+_CFG = TrainConfig()
+_ACC = make_module([np.ones((2, 2))], task_id=1)
+_NEW = make_module([3.0 * np.ones((2, 2))], task_id=2)
+
+# name -> (a call that puts its argument in the slot and returns what was
+# stored or computed, a valid value for the slot); a numpy integer must
+# give the same result, of the same type, as the equal Python int
+_SLOTS = {
+    "StreamSpec.total_classes": (lambda v: _spec(total_classes=v).total_classes, 6),
+    "StreamSpec.num_tasks": (lambda v: _spec(num_tasks=v).num_tasks, 3),
+    "StreamSpec.samples_per_class":
+        (lambda v: _spec(samples_per_class=v).samples_per_class, 10),
+    "StreamSpec.seed": (lambda v: _spec(seed=v).seed, 7),
+    "TrainConfig.epochs_base": (lambda v: TrainConfig(epochs_base=v).epochs_base, 3),
+    "TrainConfig.epochs_min": (lambda v: TrainConfig(epochs_min=v).epochs_min, 3),
+    "TrainConfig.epochs_max": (lambda v: TrainConfig(epochs_max=v).epochs_max, 3),
+    "TrainConfig.batch_size": (lambda v: TrainConfig(batch_size=v).batch_size, 3),
+    "TrainConfig.bottleneck": (lambda v: TrainConfig(bottleneck=v).bottleneck, 3),
+    "TrainConfig.seed": (lambda v: TrainConfig(seed=v).seed, 3),
+    "TaskMeta.task_id": (lambda v: _meta(task_id=v).task_id, 3),
+    "TaskMeta.sample_count": (lambda v: _meta(sample_count=v).sample_count, 3),
+    "TaskMeta.class_id":
+        (lambda v: next(iter(_meta(class_ids=frozenset({v})).class_ids)), 3),
+    "AdapterModule.bottleneck": (lambda v: AdapterModule(
+        layers=(np.ones((2, 2)),), bottleneck=v, meta=_meta()).bottleneck, 3),
+    "lambda_schedule.class_count": (lambda v: lambda_schedule(v, _CFG), 3),
+    "epoch_schedule.class_count": (lambda v: epoch_schedule(v, 20, 5, _CFG), 3),
+    "epoch_schedule.total_classes": (lambda v: epoch_schedule(4, v, 5, _CFG), 3),
+    "epoch_schedule.num_tasks": (lambda v: epoch_schedule(4, 20, v, _CFG), 3),
+    "class_ratios.total_classes": (lambda v: tuple(class_ratios(v, 0.5)), 3),
+    "merge_average.n_prev_tasks":
+        (lambda v: merge_average(_NEW, _ACC, v).layers[0].tolist(), 3),
+    "cli.config_key": (lambda v: _coerce("batch_size", v), 3),
+}
+
+
+@pytest.mark.parametrize("slot", _SLOTS.values(), ids=_SLOTS.keys())
+def test_integer_slots_follow_the_rule(slot):
+    call, good = slot
+    for bad in (2.5, 4.0, True, "3"):
+        with pytest.raises(ConfigError):
+            call(bad)
+    stored, expected = call(np.int64(good)), call(good)
+    assert stored == expected and type(stored) is type(expected)
+
+
+def test_check_int_bounds_and_messages():
+    assert check_int("n", np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
+    assert check_int("n", 5, 5, 5) == 5
+    with pytest.raises(ConfigError, match=r"^n must be an integer, got '3'$"):
+        check_int("n", "3")
+    with pytest.raises(ConfigError, match=r"^n must be >= 1, got 0$"):
+        check_int("n", 0, 1)
+    with pytest.raises(ConfigError, match=r"^n must lie in \[1, 4\], got 5$"):
+        check_int("n", 5, 1, 4)

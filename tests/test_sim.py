@@ -60,6 +60,7 @@ def test_backbone_features_are_rectified():
     {"lambda_max": 1.5}, {"beta": -0.1}, {"k_decay": 0.0},
     {"tau_margin": 1.0}, {"batch_size": 0}, {"bottleneck": 0},
     {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5}, {"seed": True},
+    {"cosine_lr": "no"}, {"cosine_lr": 1},
 ])
 def test_train_config_validation(kwargs):
     with pytest.raises(ConfigError):

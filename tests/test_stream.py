@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onea import (ConfigError, StreamSpec, TaskOrder, allocate_tasks,
-                  build_stream, class_ratios)
+from onea import (ConfigError, Strategy, StreamSpec, TaskOrder, TrainConfig,
+                  allocate_tasks, build_stream, class_ratios, run_sequence)
 from onea.stream import FEATURE_DIM, TRAIN_FRACTION
 
 
@@ -98,9 +98,16 @@ def test_stream_spec_validation(kwargs):
 
 def test_numpy_integer_seeds_are_accepted():
     spec = _spec(seed=np.uint64(2 ** 64 - 1))
-    assert build_stream(_spec(seed=np.int64(7))).manifest() == \
-        build_stream(_spec(seed=7)).manifest()
+    manifest = build_stream(_spec(seed=np.int64(7))).manifest()
+    assert json.dumps(manifest) == json.dumps(build_stream(_spec(seed=7)).manifest())
     assert spec.seed == 2 ** 64 - 1
+    stream = build_stream(_spec(total_classes=4, num_tasks=2, samples_per_class=10,
+                                seed=np.int64(7)))
+    cfg = TrainConfig(epochs_base=1, epochs_min=1, seed=np.uint64(3))
+    report = run_sequence(stream, Strategy.AVERAGE, cfg)
+    plain = run_sequence(build_stream(stream.spec), Strategy.AVERAGE,
+                         TrainConfig(epochs_base=1, epochs_min=1, seed=3))
+    assert report.canonical_bytes() == plain.canonical_bytes()
 
 
 @pytest.mark.parametrize("samples_per_class", [1, 2])

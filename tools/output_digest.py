@@ -1,0 +1,103 @@
+"""Digest of onea's outputs on a fixed config matrix.
+
+Runs `onea run` on six configs x stream/train seeds {0, 3} with all five
+strategies, then `onea merge` for the three fold strategies on adapters
+from those runs. Each case hashes its exit code, its stdout and stderr
+(output directory masked), each report's canonical_bytes() and every
+.onea file it wrote. Prints one sha256 per case and a total; two source
+trees that print the same total produce the same outputs on the matrix.
+
+    python3 tools/output_digest.py [--src DIR]
+
+--src picks the source tree to import onea from (default: this
+checkout's src/), so a parent commit's tree can be checked the same way.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+STRATEGIES = ["one-a", "average", "symmetric", "per-task", "single-finetune"]
+CONFIGS = {
+    "default": {},
+    "cosine-lr": {"cosine_lr": True},
+    "descending-frobenius": {"order": "descending", "info_proxy": "frobenius"},
+    "batch7-energy": {"batch_size": 7, "samples_per_class": 23,
+                      "info_proxy": "singular-energy"},
+    "100x50": {"classes": 100, "tasks": 50, "epochs_base": 3},
+    "balanced-batch1": {"classes": 12, "tasks": 6, "order": "balanced",
+                        "batch_size": 1},
+}
+SEEDS = (0, 3)
+MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
+                    "--proxy", "frobenius", "--n-prev", "2"])
+
+
+def run_case(main, argv: list[str], out_dir: Path) -> bytes:
+    """Call the CLI; return the case's bytes: exit code, masked streams,
+    canonical report bytes and .onea files in name order."""
+    from onea.metrics import RunReport
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    mask = str(out_dir)
+    parts = [f"exit {code}".encode(), out.getvalue().replace(mask, "<out>").encode(),
+             err.getvalue().replace(mask, "<out>").encode()]
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".json":
+            report = RunReport.from_json(path.read_text(encoding="utf-8"))
+            parts += [path.name.encode(), report.canonical_bytes()]
+        elif path.suffix == ".onea":
+            parts += [path.name.encode(), path.read_bytes()]
+    return b"\0".join(parts)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import onea.cli
+
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, config in CONFIGS.items():
+            for seed in SEEDS:
+                case = f"run-{name}-s{seed}"
+                out_dir = work / case
+                argv = ["run", "--out-dir", str(out_dir),
+                        "--set", f"strategies={json.dumps(STRATEGIES)}",
+                        "--set", f"stream_seed={seed}", "--set", f"train_seed={seed}"]
+                for key, value in config.items():
+                    argv += ["--set", f"{key}={json.dumps(value)}"]
+                digest = hashlib.sha256(run_case(onea.cli.main, argv, out_dir)).hexdigest()
+                total.update(f"{case} {digest}\n".encode())
+                print(case, digest, flush=True)
+        for seed in SEEDS:
+            src = work / f"run-default-s{seed}"
+            for strategy in STRATEGIES[:3]:
+                for i, flags in enumerate(MERGE_FLAGS):
+                    case = f"merge-{strategy}-s{seed}-f{i}"
+                    out_dir = work / case
+                    out_dir.mkdir()
+                    argv = ["merge", str(src / f"adapter-per-task-t{i + 1}.onea"),
+                            str(src / f"adapter-per-task-t{i + 2}.onea"),
+                            "--strategy", strategy, "--out", str(out_dir / "merged.onea"),
+                            *flags]
+                    digest = hashlib.sha256(
+                        run_case(onea.cli.main, argv, out_dir)).hexdigest()
+                    total.update(f"{case} {digest}\n".encode())
+                    print(case, digest, flush=True)
+    print("total", total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
