@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .adapter import load_module, save_module
 from .errors import (ConfigError, FormatError, NumericError, OneaError,
-                     check_int)
+                     check_float, check_int)
 from .merge import (InfoProxy, MergeConfig, info_weights, select_roles,
                     thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
@@ -51,9 +51,7 @@ def _coerce(key: str, value):
     if isinstance(default, int):
         return check_int(f"config key '{key}'", value)
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
-        return float(value)
+        return check_float(f"config key '{key}'", value)
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"config key '{key}' must be a string, got {value!r}")

@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, and check_int, the one
-rule every integer field and argument is validated by.
+"""Exception hierarchy shared across the package, and check_int and
+check_float, the one rule each for integer and float fields and arguments.
 
 The CLI maps these onto exit codes: ConfigError and ShapeError are user
 errors (exit 2), NumericError and its subclasses are numeric failures
 (exit 3), FormatError and plain OSError are I/O failures (exit 4).
 """
 
+import math
 import numbers
 
 
@@ -53,4 +54,17 @@ def check_int(name: str, value, low: int | None = None,
     if (low is not None and value < low) or (high is not None and value > high):
         bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ConfigError(f"{name} must {bounds}, got {value}")
+    return value
+
+
+def check_float(name: str, value) -> float:
+    """The package's one float rule: value must be a real number (a Python
+    or numpy float or integer), never a bool, and finite; returns it as a
+    Python float. Range checks stay with each field."""
+    if type(value) is not float:  # plain floats skip the slow numbers.Real check
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value

@@ -18,7 +18,7 @@ import numpy as np
 from .adapter import AdapterModule, TaskMeta, as_matrix, freeze, mergeable
 from .counters import SVD_CALLS
 from .errors import (ConfigError, DegenerateBaseError, NumericError,
-                     ShapeError, check_int)
+                     ShapeError, check_float, check_int)
 
 
 class InfoProxy(enum.Enum):
@@ -46,6 +46,8 @@ class MergeConfig:
     info_proxy: InfoProxy = InfoProxy.CLASS_COUNT
 
     def __post_init__(self):
+        for name in ("quantile_q", "sharpness_kappa", "delta", "rank_eps"):
+            object.__setattr__(self, name, check_float(name, getattr(self, name)))
         if not 0.0 <= self.quantile_q <= 1.0:
             raise ConfigError(f"quantile_q must lie in [0, 1], got {self.quantile_q}")
         if self.sharpness_kappa <= 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 from .adapter import AdapterModule, adapter_forward, as_matrix, freeze
 from .counters import SVD_CALLS
 from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
-                     check_int)
+                     check_float, check_int)
 from .merge import (MergeConfig, info_weights, merge_average, merge_modules,
                     merge_symmetric)
 from .metrics import RunReport
@@ -83,6 +83,8 @@ class TrainConfig:
                           ("bottleneck", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
+        for name in ("lr", "beta", "lambda_min", "lambda_max", "k_decay", "tau_margin"):
+            object.__setattr__(self, name, check_float(name, getattr(self, name)))
         if not isinstance(self.cosine_lr, bool):
             raise ConfigError(f"cosine_lr must be a boolean, got {self.cosine_lr!r}")
         if self.lr <= 0.0:
@@ -118,39 +120,46 @@ def epoch_schedule(class_count: int, total_classes: int, num_tasks: int,
 
 def _epochs_for(class_count: int, t0: float, cfg: TrainConfig) -> int:
     class_count = check_int("class_count", class_count, 1)
+    t0 = check_float("reference task size", t0)
     if t0 <= 0.0:
         raise ConfigError(f"reference task size must be > 0, got {t0}")
-    raw = cfg.epochs_base * (class_count / t0) ** cfg.beta
+    ratio = class_count / t0
+    # a budget at or past epochs_max + 1 clamps to epochs_max; deciding that
+    # in log space keeps a large beta or epochs_base from overflowing a float
+    if math.log(cfg.epochs_base) + cfg.beta * math.log(ratio) \
+            >= math.log(cfg.epochs_max + 1):
+        return cfg.epochs_max
+    raw = cfg.epochs_base * ratio ** cfg.beta
     return min(max(int(round(raw)), cfg.epochs_min), cfg.epochs_max)
 
 
 def _normalize_rows(z: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(z * z, -1))
+    if (norms == 0.0).any():
         raise NumericError(f"{what} contains a zero-norm row")
-    return z / norms[:, None], norms
+    return z / norms[..., None], norms
 
 
 def _pair_coefficients(sims: np.ndarray, same: np.ndarray, tau: float):
     """Loss value and the symmetric d(loss)/d(similarity) matrix.
 
-    Each unordered pair shows up twice in the full masks, so the pair
-    counts are halved and the loss sums are halved with them.
+    sims may carry a leading member axis; same is the (n, n) label-equality
+    matrix. The tables below depend on the labels only, so they are built
+    once for every member: a positive pair pulls toward similarity 1 with
+    -1/n_pos at any similarity, a negative pair pushes toward tau with
+    1/n_neg above tau and costs nothing at or below it. Each unordered pair
+    shows up twice in the full matrices, so the pair counts are halved and
+    the loss sum with them.
     """
-    pos = same & ~np.eye(sims.shape[0], dtype=bool)
-    neg = ~same
-    n_pos = int(np.count_nonzero(pos)) // 2
-    n_neg = int(np.count_nonzero(neg)) // 2
-    coeff = np.zeros(sims.shape)
-    loss = 0.0
-    if n_pos:
-        loss += float(np.sum(1.0 - sims[pos])) / (2 * n_pos)
-        coeff[pos] = -1.0 / n_pos
-    if n_neg:
-        margins = sims - tau
-        active = neg & (margins > 0.0)
-        loss += float(np.sum(margins[active])) / (2 * n_neg)
-        coeff[active] = 1.0 / n_neg
+    n = same.shape[0]
+    n_same = int(np.count_nonzero(same))
+    n_pos, n_neg = (n_same - n) // 2, (n * n - n_same) // 2
+    below = np.where(same, -1.0 / n_pos if n_pos else 0.0, 0.0)
+    np.fill_diagonal(below, 0.0)
+    above = np.where(same, below, 1.0 / n_neg if n_neg else 0.0)
+    coeff = np.where(sims > tau, above, below)
+    target = np.where(same, 1.0, tau)
+    loss = 0.5 * (coeff * (sims - target)).sum(axis=(-2, -1))
     return loss, coeff
 
 
@@ -169,31 +178,31 @@ def contrastive_loss(features: np.ndarray, labels, tau: float) -> float:
     if z.shape[0] < 2:
         warnings.warn("batch holds no sample pairs; contrastive loss is 0",
                       RuntimeWarning, stacklevel=2)
-    return loss
+    return float(loss)
 
 
 def _contrastive_grad(z: np.ndarray, labels: np.ndarray, tau: float):
     """Contrastive loss and its gradient with respect to unnormalized z."""
     f, norms = _normalize_rows(z, "features")
     same = labels[:, None] == labels[None, :]
-    loss, coeff = _pair_coefficients(f @ f.T, same, tau)
+    loss, coeff = _pair_coefficients(f @ f.mT, same, tau)
     df = coeff @ f
-    dz = (df - f * np.sum(f * df, axis=1, keepdims=True)) / norms[:, None]
+    dz = (df - f * (f * df).sum(axis=-1, keepdims=True)) / norms[..., None]
     return loss, dz
 
 
 def _cross_entropy_grad(z: np.ndarray, y: np.ndarray, head_w: np.ndarray,
                         head_b: np.ndarray):
     """Mean softmax cross-entropy and gradients w.r.t. z and the head."""
-    n = z.shape[0]
-    logits = z @ head_w + head_b
-    shift = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shift), axis=1, keepdims=True))
-    loss = float(-np.mean(shift[np.arange(n), y] - log_norm[:, 0]))
+    n = z.shape[-2]
+    logits = z @ head_w + head_b[..., None, :]
+    shift = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+    loss = -(shift[..., np.arange(n), y] - log_norm[..., 0]).mean(axis=-1)
     dlogits = np.exp(shift - log_norm)
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits -= y[:, None] == np.arange(head_w.shape[-1])  # one-hot targets
     dlogits /= n
-    return loss, dlogits @ head_w.T, z.T @ dlogits, dlogits.sum(axis=0)
+    return loss, dlogits @ head_w.mT, z.mT @ dlogits, dlogits.sum(axis=-2)
 
 
 def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
@@ -205,7 +214,9 @@ def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
     lam * contrastive; a single-class head trains on the contrastive term
     alone at full weight and gets zero gradients. Reverse-mode accumulation
     runs through the residual adapter and the local linear head; the ReLU
-    and hinge use the 0 subgradient at their kinks.
+    and hinge use the 0 subgradient at their kinks. Parameters may carry a
+    leading member axis (w_down of shape (m, d, b), and so on) over the one
+    batch h; the loss and its terms then hold one value per member.
     """
     w_down, w_up = params["w_down"], params["w_up"]
     head_w, head_b = params["head_w"], params["head_b"]
@@ -213,7 +224,7 @@ def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
     relu_a = np.maximum(a, 0.0)
     z = h + relu_a @ w_up
     ctr, dz = _contrastive_grad(z, y, tau)
-    if head_w.shape[1] < 2:
+    if head_w.shape[-1] < 2:
         loss, ce = ctr, 0.0
         grads = {"head_w": np.zeros_like(head_w), "head_b": np.zeros_like(head_b)}
     else:
@@ -221,8 +232,8 @@ def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
         loss = (1.0 - lam) * ce + lam * ctr
         dz = (1.0 - lam) * dz_ce + lam * dz
         grads = {"head_w": (1.0 - lam) * dhw, "head_b": (1.0 - lam) * dhb}
-    grads["w_up"] = relu_a.T @ dz
-    grads["w_down"] = h.T @ ((dz @ w_up.T) * (a > 0.0))
+    grads["w_up"] = relu_a.mT @ dz
+    grads["w_down"] = h.T @ ((dz @ w_up.mT) * (a > 0.0))
     return loss, {"ce": ce, "ctr": ctr}, grads
 
 
@@ -240,34 +251,15 @@ def objective_grads(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
     return loss, grads
 
 
-def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
-               t0: float | None = None,
-               init: AdapterModule | None = None) -> AdapterModule:
-    """Train one adapter (and a discarded local head) on a single task.
+def _initial_params(init: AdapterModule | None, seed: int, d: int, b: int,
+                    k: int) -> dict:
+    """One member's starting adapter and local head.
 
-    Args:
-        task: metadata plus the train split to fit.
-        t0: reference task size C / T of the surrounding stream; defaults
-            to this task's own class count (epoch budget epochs_base).
-        init: adapter to continue from instead of a fresh initialization.
-
-    Returns:
-        The trained AdapterModule; the local head is discarded.
+    Every member draws from the same initialization stream (key (0, 1)),
+    so fresh adapters of different tasks stay comparable for merging.
     """
-    meta, data = task.meta, task.data
-    n = data.train_x.shape[0]
-    if n == 0:
-        raise ConfigError(f"task {meta.task_id} has no training samples")
-    # every task's adapter spawns from the same initialization (stream
-    # key (0, 1)) so trained adapters stay comparable for merging; only
-    # the batch shuffle stream is task-specific
     init_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 1)))
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, meta.task_id)))
-    d = backbone.projection.shape[1]
-    b = cfg.bottleneck
-
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, 1)))
     if init is not None:
         if tuple(layer.shape for layer in init.layers) != ((d, b), (b, d)):
             raise ShapeError("init adapter does not match backbone/bottleneck dims")
@@ -278,27 +270,59 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
         # adapted features begin exactly at the backbone features
         w_down = init_rng.normal(scale=1.0 / math.sqrt(d), size=(d, b))
         w_up = np.zeros((b, d))
+    head_w = init_rng.normal(scale=1.0 / math.sqrt(d), size=(d, k))
+    return {"w_down": w_down, "w_up": w_up, "head_w": head_w, "head_b": np.zeros(k)}
 
+
+def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
+               inits=(None,), *, t0: float | None = None) -> list[AdapterModule]:
+    """Train adapters (each with a discarded local head) on a single task.
+
+    Every member sees the task's one batch sequence (stream key
+    (1, task id)), and each SGD step runs once for all members along a
+    leading member axis; each member ends bit-identical to a call that
+    trains it alone.
+
+    Args:
+        task: metadata plus the train split to fit.
+        inits: one entry per member: an adapter to continue from, or None
+            for a fresh initialization.
+        t0: reference task size C / T of the surrounding stream; defaults
+            to this task's own class count (epoch budget epochs_base).
+
+    Returns:
+        The trained AdapterModules, one per entry of inits, in order.
+    """
+    meta, data = task.meta, task.data
+    n = data.train_x.shape[0]
+    if n == 0:
+        raise ConfigError(f"task {meta.task_id} has no training samples")
+    inits = list(inits)
+    if not inits:
+        raise ConfigError("train_task needs at least one init")
+    d = backbone.projection.shape[1]
+    b = cfg.bottleneck
     classes = sorted(meta.class_ids)
     k = len(classes)
-    y_local = np.searchsorted(classes, data.train_y)
-    head_w = init_rng.normal(scale=1.0 / math.sqrt(d), size=(d, k))
-    head_b = np.zeros(k)
-    params = {"w_down": w_down, "w_up": w_up, "head_w": head_w, "head_b": head_b}
+    members = [_initial_params(init, cfg.seed, d, b, k) for init in inits]
+    params = {name: np.stack([m[name] for m in members]) for name in members[0]}
 
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, meta.task_id)))
+    y_local = np.searchsorted(classes, data.train_y)
     lam = lambda_schedule(k, cfg)
     epochs = _epochs_for(k, t0 if t0 is not None else float(k), cfg)
     h_all = backbone.features(data.train_x)
-    n_batches = math.ceil(n / cfg.batch_size)
-    total_steps = max(1, epochs * n_batches)
+    total_steps = max(1, epochs * math.ceil(n / cfg.batch_size))
     step = 0
     for _ in range(epochs):
         order = rng.permutation(n)
+        h_epoch, y_epoch = h_all[order], y_local[order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = objective_grads(h_all[idx], y_local[idx], params,
-                                          lam, cfg.tau_margin)
-            if not math.isfinite(loss):
+            stop = start + cfg.batch_size
+            loss, grads = objective_grads(h_epoch[start:stop], y_epoch[start:stop],
+                                          params, lam, cfg.tau_margin)
+            if not np.isfinite(loss).all():
                 raise TrainingError(
                     f"loss diverged on task {meta.task_id} "
                     f"(seed={cfg.seed}, lr={cfg.lr}, batch={cfg.batch_size})")
@@ -309,8 +333,8 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig, *,
                 params[name] -= lr * grad
             step += 1
 
-    return AdapterModule(layers=(params["w_down"], params["w_up"]),
-                         bottleneck=b, meta=meta)
+    return [AdapterModule(layers=(w_down, w_up), bottleneck=b, meta=meta)
+            for w_down, w_up in zip(params["w_down"], params["w_up"])]
 
 
 def adapted_features(x: np.ndarray, adapter: AdapterModule,
@@ -451,10 +475,9 @@ class _StrategyRun:
     strategies replace their single member."""
 
     def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone,
-                 cfg: TrainConfig, t0: float, merge_cfg: MergeConfig):
+                 merge_cfg: MergeConfig):
         self.strategy = strategy
-        self.backbone, self.cfg, self.t0 = backbone, cfg, t0
-        self.merge_cfg = merge_cfg
+        self.backbone, self.merge_cfg = backbone, merge_cfg
         self.adapters: list[AdapterModule] = []
         self.banks: list[PrototypeBank] = []
         self.acc_matrix: list[list[float | None]] = \
@@ -463,22 +486,22 @@ class _StrategyRun:
         self.merge_ms: list[float] = []
         self.svd_calls = 0
 
-    def step(self, idx: int, task: Task, new: AdapterModule | None,
+    def step(self, idx: int, task: Task, new: AdapterModule,
              eval_x: np.ndarray, eval_y: np.ndarray, widths: list[int]) -> None:
-        """Absorb task idx (new is its freshly trained adapter), record
-        prototypes for its classes and score all test data seen so far."""
+        """Absorb task idx, record prototypes for its classes and score all
+        test data seen so far. new is the task's freshly trained adapter, or
+        for single-finetune past the first task its carried adapter trained
+        on the task."""
         carried = self.adapters[0] if self.adapters else None
-        if self.strategy is Strategy.SINGLE_FINETUNE:
-            adapter = new if carried is None else train_task(
-                task, self.backbone, self.cfg, t0=self.t0, init=carried)
-            self.merge_ms.append(0.0)
-        else:
+        if self.strategy in FOLD_STRATEGIES:
             svd_start = SVD_CALLS.value
             tick = time.perf_counter()
-            adapter = new if self.strategy is Strategy.PER_TASK else \
-                fold(self.strategy, carried, new, idx, self.merge_cfg)
+            adapter = fold(self.strategy, carried, new, idx, self.merge_cfg)
             self.merge_ms.append((time.perf_counter() - tick) * 1000.0)
             self.svd_calls += SVD_CALLS.value - svd_start
+        else:
+            adapter = new
+            self.merge_ms.append(0.0)
 
         fresh = compute_prototypes(adapter, self.backbone, task.data,
                                    class_ids=task.meta.class_ids)
@@ -503,14 +526,16 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
                    ) -> list[tuple[RunReport, list[AdapterModule]]]:
     """Run one continual-learning pass over the stream for several strategies.
 
-    Each task's fresh adapter is trained once and shared: after training,
-    every strategy in turn absorbs it (fold, append, or, for
-    single-finetune past the first task, continued training of its own
-    adapter), records prototypes for the task's classes under its current
-    model, and measures accuracy task-agnostically over all test data seen
-    so far. Each report is bit-reproducible given (stream seed, train seed,
-    config, strategy) and does not depend on which other strategies share
-    the pass or their order; only its timing block varies between runs.
+    Each task is trained once: one train_task call trains the task's fresh
+    adapter and, for single-finetune past the first task, the continuation
+    of its carried adapter, in one stacked pass over the task's batches.
+    Every strategy in turn then absorbs its adapter (fold, append, or
+    replace with the continuation), records prototypes for the task's
+    classes under its current model, and measures accuracy
+    task-agnostically over all test data seen so far. Each report is
+    bit-reproducible given (stream seed, train seed, config, strategy) and
+    does not depend on which other strategies share the pass or their
+    order; only its timing block varies between runs.
     svd_calls and timings.merge_ms cover that strategy's own folds, and
     timings.total_s is the wall time of the whole shared pass.
 
@@ -532,19 +557,25 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
 
     started = time.perf_counter()
-    runs = [_StrategyRun(s, t_total, backbone, cfg, t0, merge_cfg)
-            for s in strategies]
-    # single-finetune uses a fresh adapter only for the first task
+    runs = [_StrategyRun(s, t_total, backbone, merge_cfg) for s in strategies]
+    # single-finetune uses a fresh adapter only for the first task; every
+    # single-finetune run carries the same adapter, so one continuation serves all
+    finetune = next((run for run in runs
+                     if run.strategy is Strategy.SINGLE_FINETUNE), None)
     fresh_every_task = any(s is not Strategy.SINGLE_FINETUNE for s in strategies)
     for idx, task in enumerate(stream.tasks):
-        new = train_task(task, backbone, cfg, t0=t0) \
-            if idx == 0 or fresh_every_task else None
+        inits = [None] if idx == 0 or fresh_every_task else []
+        if finetune is not None and idx > 0:
+            inits.append(finetune.adapters[0])
+        trained = train_task(task, backbone, cfg, inits, t0=t0)
+        new, continued = trained[0], trained[-1]
         seen = stream.tasks[:idx + 1]
         eval_x = np.concatenate([t.data.test_x for t in seen])
         eval_y = np.concatenate([t.data.test_y for t in seen])
         widths = [t.data.test_x.shape[0] for t in seen]
         for run in runs:
-            run.step(idx, task, new, eval_x, eval_y, widths)
+            absorbed = continued if run.strategy is Strategy.SINGLE_FINETUNE else new
+            run.step(idx, task, absorbed, eval_x, eval_y, widths)
     total_s = time.perf_counter() - started
 
     config_echo = run_config(spec, cfg, merge_cfg)

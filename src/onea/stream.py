@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import TaskMeta, freeze
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_float, check_int
 
 FEATURE_DIM = 32       # input dimension of every synthetic sample
 MEAN_RADIUS = 4.0      # class means are drawn uniformly on this sphere
@@ -50,6 +50,7 @@ class StreamSpec:
         object.__setattr__(self, "samples_per_class",
                            check_int("samples_per_class", self.samples_per_class))
         object.__setattr__(self, "seed", check_int("stream seed", self.seed, 0, MAX_SEED))
+        object.__setattr__(self, "gamma", check_float("gamma", self.gamma))
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not isinstance(self.order, TaskOrder):
@@ -110,6 +111,7 @@ class TaskStream:
 def class_ratios(total_classes: int, gamma: float) -> np.ndarray:
     """Exponential long-tail curve r_k = gamma ** (k / (C - 1))."""
     total_classes = check_int("total_classes", total_classes, 2)
+    gamma = check_float("gamma", gamma)
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
     k = np.arange(total_classes, dtype=np.float64)

@@ -210,6 +210,25 @@ def test_run_config_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "k_decay=NaN",
+                                     "gamma=-Infinity"])
+def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", *RUN_ARGS, "--set", setting, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+    assert not out.exists()
+
+
+def test_run_large_beta_clamps_the_epoch_budget(tmp_path):
+    # 1000th powers of the task-size ratios overflow a float; the head
+    # tasks clamp to epochs_max and the tail tasks to epochs_min
+    out = tmp_path / "runs"
+    assert main(["run", "--set", "beta=1000", "--set", 'strategies=["per-task"]',
+                 "--out-dir", str(out)]) == 0
+    assert (out / "report-per-task.json").exists()
+
+
 def test_run_rejects_bad_config_file(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text("{broken")

@@ -103,6 +103,22 @@ def test_epoch_schedule_clamps():
     assert epoch_schedule(1, 1000, 1, flat) == flat.epochs_base
 
 
+@pytest.mark.parametrize("epochs_base", [1, 15, 60, 61, 10 ** 300])
+def test_epoch_schedule_large_beta_clamps_without_overflow(epochs_base):
+    # wherever the plain formula fits in a float the budget is that formula,
+    # clamped; where it overflows the budget is epochs_max
+    for beta in (0.0, 0.5, 3.0, 50.0, 400.0, 1000.0, 1e6):
+        cfg = TrainConfig(epochs_base=epochs_base, beta=beta)
+        for class_count in (1, 2, 5, 10, 11, 52, 99):
+            got = epoch_schedule(class_count, 100, 10, cfg)
+            try:
+                raw = int(round(cfg.epochs_base * (class_count / 10.0) ** beta))
+            except OverflowError:
+                assert got == cfg.epochs_max
+                continue
+            assert got == min(max(raw, cfg.epochs_min), cfg.epochs_max)
+
+
 def test_epoch_schedule_guards():
     cfg = TrainConfig()
     with pytest.raises(ConfigError):
@@ -239,13 +255,33 @@ def test_objective_grads_match_finite_differences():
             assert err <= 1e-4 * max(1.0, np.linalg.norm(grads[name]))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_objective_member_axis_matches_each_member(k):
+    # stacked parameters over one shared batch give every member the loss
+    # and the gradient bits of its own 2-D call
+    rng = np.random.default_rng(5)
+    h, y = rng.normal(size=(9, 6)), rng.integers(0, k, size=9)
+    members = [{"w_down": rng.normal(size=(6, 3)),
+                "w_up": rng.normal(scale=0.5, size=(3, 6)),
+                "head_w": rng.normal(size=(6, k)),
+                "head_b": rng.normal(size=k)} for _ in range(3)]
+    stacked = {name: np.stack([m[name] for m in members]) for name in members[0]}
+    loss, grads = objective_grads(h, y, stacked, 0.3, 0.07)
+    assert loss.shape == (3,)
+    for i, params in enumerate(members):
+        want_loss, want_grads = objective_grads(h, y, params, 0.3, 0.07)
+        assert loss[i] == pytest.approx(want_loss, rel=1e-12)
+        for name, grad in want_grads.items():
+            assert np.array_equal(grads[name][i], grad), name
+
+
 # --------------------------------------------------------------- train_task
 
 def test_train_task_learns_an_easy_pair():
     stream = _single_task_stream()
     task = stream.tasks[0]
     backbone = Backbone.from_seed(32, 32, 0)
-    module = train_task(task, backbone, TrainConfig())
+    (module,) = train_task(task, backbone, TrainConfig())
     bank = compute_prototypes(module, backbone, task.data)
     preds = classify_batch(task.data.train_x, module, backbone, bank)
     assert np.mean(preds == task.data.train_y) >= 0.95
@@ -255,8 +291,8 @@ def test_train_task_learns_an_easy_pair():
 def test_train_task_is_deterministic():
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    a = train_task(task, backbone, QUICK)
-    b = train_task(task, backbone, QUICK)
+    (a,) = train_task(task, backbone, QUICK)
+    (b,) = train_task(task, backbone, QUICK)
     for wa, wb in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb)
     assert a.meta == task.meta
@@ -266,7 +302,7 @@ def test_train_task_zero_epochs_keeps_residual_identity():
     cfg = TrainConfig(epochs_min=0)
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    module = train_task(task, backbone, cfg, t0=1e9)
+    (module,) = train_task(task, backbone, cfg, t0=1e9)
     assert np.array_equal(module.layers[1], np.zeros((cfg.bottleneck, 16)))
     assert np.any(module.layers[0] != 0.0)
     adapted = adapted_features(task.data.train_x, module, backbone)
@@ -276,9 +312,9 @@ def test_train_task_zero_epochs_keeps_residual_identity():
 def test_train_task_warm_start_continues():
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    first = train_task(stream.tasks[0], backbone, QUICK)
-    cont = train_task(stream.tasks[1], backbone, QUICK, init=first)
-    fresh = train_task(stream.tasks[1], backbone, QUICK)
+    (first,) = train_task(stream.tasks[0], backbone, QUICK)
+    (cont,) = train_task(stream.tasks[1], backbone, QUICK, [first])
+    (fresh,) = train_task(stream.tasks[1], backbone, QUICK)
     assert cont.meta == stream.tasks[1].meta
     assert not np.array_equal(cont.layers[0], fresh.layers[0])
 
@@ -292,7 +328,7 @@ def test_train_task_rejects_mismatched_init():
                    [np.zeros((16, b)), np.zeros((b + 1, 16))]):
         wrong = make_module(layers, bottleneck=layers[0].shape[1])
         with pytest.raises(ShapeError):
-            train_task(stream.tasks[0], backbone, QUICK, init=wrong)
+            train_task(stream.tasks[0], backbone, QUICK, [None, wrong])
 
 
 @pytest.mark.parametrize("cosine_lr, second_step", [(False, 1.0), (True, 0.5)])
@@ -309,7 +345,7 @@ def test_train_task_cosine_lr_step_sizes(monkeypatch, cosine_lr, second_step):
     task = _tiny_stream().tasks[0]
     cfg = TrainConfig(lr=0.1, epochs_base=2, epochs_min=2, epochs_max=2,
                       batch_size=task.data.train_x.shape[0], cosine_lr=cosine_lr)
-    module = train_task(task, Backbone.from_seed(32, 16, 0), cfg)
+    (module,) = train_task(task, Backbone.from_seed(32, 16, 0), cfg)
     assert len(seen) == 2
     assert np.allclose(seen[0] - seen[1], 0.1, rtol=0.0, atol=1e-12)
     assert np.allclose(seen[1] - module.layers[0], 0.1 * second_step,
@@ -326,6 +362,50 @@ def test_train_task_divergence_reports_config():
             train_task(task, backbone, wild)
     assert "seed=0" in str(err.value)
     assert "lr=1e+300" in str(err.value)
+
+
+# (classes, tasks, batch_size): 16 train rows per task in 5-row batches end
+# on a one-row batch; four tasks hold one class each
+@pytest.mark.parametrize("classes, tasks, batch_size", [(4, 2, 5), (4, 4, 16), (4, 2, 1)],
+                         ids=["short-last-batch", "single-class", "batch-size-1"])
+def test_train_task_stacked_members_match_solo_calls(classes, tasks, batch_size):
+    stream = _tiny_stream(total_classes=classes, num_tasks=tasks,
+                          order=TaskOrder.BALANCED)
+    cfg = TrainConfig(epochs_base=2, epochs_min=1, batch_size=batch_size,
+                      bottleneck=4)
+    backbone = Backbone.from_seed(32, 16, 0)
+    (carried,) = train_task(stream.tasks[0], backbone, cfg)
+    task = stream.tasks[1]
+    fresh, cont = train_task(task, backbone, cfg, [None, carried])
+    (solo_fresh,) = train_task(task, backbone, cfg)
+    (solo_cont,) = train_task(task, backbone, cfg, [carried])
+    for stacked, solo in ((fresh, solo_fresh), (cont, solo_cont)):
+        assert stacked.meta == solo.meta == task.meta
+        for w_stacked, w_solo in zip(stacked.layers, solo.layers):
+            assert np.array_equal(w_stacked, w_solo)
+    assert not np.array_equal(fresh.layers[1], cont.layers[1])
+
+
+def test_train_task_stacked_divergence_raises_the_solo_message():
+    stream = _tiny_stream()
+    backbone = Backbone.from_seed(32, 16, 0)
+    (carried,) = train_task(stream.tasks[0], backbone, QUICK)
+    wild = TrainConfig(lr=1e300, epochs_base=8, epochs_min=1,
+                       batch_size=QUICK.batch_size, bottleneck=QUICK.bottleneck)
+    messages = []
+    for inits in ([None], [carried], [None, carried], [carried, None]):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingError) as err:
+                train_task(stream.tasks[1], backbone, wild, inits)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    assert "loss diverged on task 2" in messages[0]
+
+
+def test_train_task_needs_an_init():
+    with pytest.raises(ConfigError, match="at least one init"):
+        train_task(_tiny_stream().tasks[0], Backbone.from_seed(32, 16, 0), QUICK, [])
 
 
 def test_train_task_rejects_empty_task():
@@ -558,6 +638,24 @@ def test_run_strategies_matches_run_sequence_per_strategy(order):
         assert [serialize(m) for m in adapters] == \
             [serialize(m) for m in alone_adapters], strategy
         assert len(report.timings["merge_ms"]) == len(stream.tasks)
+
+
+@pytest.mark.parametrize("strategies, stacks", [
+    (list(Strategy), ["fresh", "fresh+continued", "fresh+continued"]),
+    ([Strategy.SINGLE_FINETUNE], ["fresh", "continued", "continued"]),
+    ([Strategy.PER_TASK, Strategy.ONE_A], ["fresh", "fresh", "fresh"]),
+])
+def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, stacks):
+    calls = []
+
+    def recording(task, backbone, cfg, inits=(None,), **kwargs):
+        calls.append("+".join("fresh" if init is None else "continued"
+                              for init in inits))
+        return train_task(task, backbone, cfg, inits, **kwargs)
+
+    monkeypatch.setattr(sim, "train_task", recording)
+    run_strategies(_tiny_stream(total_classes=6, num_tasks=3), strategies, QUICK)
+    assert calls == stacks
 
 
 def test_run_strategies_rejects_empty_and_unknown():

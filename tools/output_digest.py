@@ -1,7 +1,9 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on six configs x stream/train seeds {0, 3} with all five
-strategies, then `onea merge` for the three fold strategies on adapters
+Runs `onea run` on eight configs x stream/train seeds {0, 3}, six with all
+five strategies and two with a single one (single-finetune alone trains only
+the continuation past the first task, per-task alone only fresh adapters),
+then `onea merge` for the three fold strategies on adapters
 from those runs. Each case hashes its exit code, its stdout and stderr
 (output directory masked), each report's canonical_bytes() and every
 .onea file it wrote. Prints one sha256 per case and a total; two source
@@ -32,6 +34,8 @@ CONFIGS = {
     "100x50": {"classes": 100, "tasks": 50, "epochs_base": 3},
     "balanced-batch1": {"classes": 12, "tasks": 6, "order": "balanced",
                         "batch_size": 1},
+    "single-finetune-only": {"strategies": ["single-finetune"]},
+    "per-task-only": {"strategies": ["per-task"]},
 }
 SEEDS = (0, 3)
 MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
