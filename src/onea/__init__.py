@@ -6,8 +6,8 @@ from .adapter import (AdapterModule, TaskMeta, adapter_forward, deserialize,
                       serialize)
 from .errors import (ConfigError, DegenerateBaseError, FormatError,
                      NumericError, OneaError, ShapeError, TrainingError)
-from .merge import (GateVector, InfoProxy, MergeConfig, SingularDecomposition,
-                    align_to_base, gate_vector, global_fuse, info_weights,
+from .merge import (GateVector, InfoProxy, MergeConfig, MergeTrace,
+                    SingularDecomposition, gate_vector, info_weights,
                     merge_average, merge_layer, merge_modules, merge_symmetric,
                     select_roles, thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,

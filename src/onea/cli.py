@@ -21,8 +21,7 @@ from pathlib import Path
 from .adapter import load_module, save_module
 from .errors import (ConfigError, FormatError, NumericError, OneaError,
                      check_float, check_int)
-from .merge import (InfoProxy, MergeConfig, info_weights, select_roles,
-                    thin_svd)
+from .merge import InfoProxy, MergeConfig
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       weighted_average_accuracy)
 from .sim import (FOLD_STRATEGIES, Strategy, TrainConfig, fold, run_config,
@@ -167,19 +166,14 @@ def cmd_merge(args) -> int:
                             delta=args.delta, rank_eps=args.rank_eps,
                             info_proxy=InfoProxy(args.proxy))
     strategy = Strategy(args.strategy)
-    merged = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
+    merged, trace = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
     if strategy is Strategy.ONE_A:
-        base, align = select_roles(new, accumulated)
-        print(f"base: task {base.meta.task_id} ({base.meta.sample_count} samples), "
-              f"align: task {align.meta.task_id} ({align.meta.sample_count} samples)")
-        for i, (base_layer, align_layer) in enumerate(zip(base.layers, align.layers)):
-            w_b, w_a = info_weights(base.meta, align.meta, base_layer,
-                                    align_layer, merge_cfg)
-            rank = thin_svd(base_layer, rank_eps=merge_cfg.rank_eps).effective_rank
+        print(f"base: task {trace.base.task_id} ({trace.base.sample_count} samples), "
+              f"align: task {trace.align.task_id} ({trace.align.sample_count} samples)")
+        for i, (rank, w_b, w_a) in enumerate(trace.layers):
             print(f"layer {i}: effective rank {rank}, w_b={w_b:.6f}, w_a={w_a:.6f}")
     elif strategy is Strategy.SYMMETRIC:
-        w_b, w_a = info_weights(accumulated.meta, new.meta, accumulated.layers[0],
-                                new.layers[0], merge_cfg)
+        _, w_b, w_a = trace.layers[0]
         print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
     else:
         print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")

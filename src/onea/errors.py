@@ -64,7 +64,11 @@ def check_float(name: str, value) -> float:
     if type(value) is not float:  # plain floats skip the slow numbers.Real check
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be finite, got an integer past "
+                              "the largest float") from None
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return value

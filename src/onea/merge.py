@@ -3,8 +3,9 @@
 One module pair is merged by decomposing the base update, expressing the
 other update in the base's left singular frame, blending the right factors
 under information weights, and gating each singular direction so dominant
-directions stay close to the base. Two baselines live here as well: a
-running average and a symmetric concat-then-SVD merge.
+directions stay close to the base; a MergeTrace records what it decided.
+Two baselines live here as well: a running average and a symmetric
+concat-then-SVD merge.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ class GateVector:
         object.__setattr__(self, "g", freeze(g).reshape(-1))
 
 
+@dataclass(frozen=True)
+class MergeTrace:
+    """What one merge decided: the base and align task metadata and, per
+    layer, (the base's effective rank, or None if none was taken; w_b; w_a)."""
+
+    base: TaskMeta
+    align: TaskMeta
+    layers: tuple[tuple[int | None, float, float], ...]
+
+
 def _effective_rank(s: np.ndarray, rank_eps: float) -> int:
     """Count of singular values strictly above rank_eps * sigma_1; 0 when
     the spectrum is empty or all zero."""
@@ -127,25 +138,6 @@ def select_roles(new: AdapterModule, accumulated: AdapterModule):
     return accumulated, new
 
 
-def align_to_base(base_svd: SingularDecomposition, w_a: np.ndarray) -> np.ndarray:
-    """Express w_a in the base's left singular frame.
-
-    Returns V_a2b with one column per base direction: column i is
-    w_a.T @ U[:, i] / sigma_i for directions inside the effective rank and
-    zero beyond it, so noise-level base directions never amplify w_a.
-    """
-    w_a = as_matrix(w_a, "w_a")
-    if base_svd.effective_rank < 1:
-        raise DegenerateBaseError("base matrix has no singular direction above noise")
-    if w_a.shape[0] != base_svd.U.shape[0]:
-        raise ShapeError(f"w_a has {w_a.shape[0]} rows but base expects {base_svd.U.shape[0]}")
-    r = base_svd.sigma.size
-    k = base_svd.effective_rank
-    out = np.zeros((w_a.shape[1], r))
-    out[:, :k] = (w_a.T @ base_svd.U[:, :k]) / base_svd.sigma[:k]
-    return out
-
-
 def info_weights(base_meta: TaskMeta, align_meta: TaskMeta,
                  base_w: np.ndarray, align_w: np.ndarray,
                  cfg: MergeConfig) -> tuple[float, float]:
@@ -168,16 +160,6 @@ def info_weights(base_meta: TaskMeta, align_meta: TaskMeta,
         return 0.5, 0.5
     w_a = phi_a / (phi_a + phi_b)
     return 1.0 - w_a, w_a
-
-
-def global_fuse(v_base: np.ndarray, v_aligned: np.ndarray,
-                w_b: float, w_a: float) -> np.ndarray:
-    """Convex blend of the base right factor with the aligned one."""
-    v_base = as_matrix(v_base, "v_base")
-    v_aligned = as_matrix(v_aligned, "v_aligned")
-    if v_base.shape != v_aligned.shape:
-        raise ShapeError(f"fuse shape mismatch: {v_base.shape} vs {v_aligned.shape}")
-    return w_b * v_base + w_a * v_aligned
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -216,28 +198,40 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
                 cfg: MergeConfig, gate: GateVector | None = None) -> np.ndarray:
     """Merge one layer pair of matrices with base/align roles fixed.
 
-    Composes thin_svd -> align_to_base -> global_fuse -> gate_vector and
-    reconstructs U @ diag(sigma) @ V_final.T where column i of V_final is
+    One thin SVD of base_w (DegenerateBaseError if no direction is above
+    noise); V_aligned[:, i] = align_w.T @ U[:, i] / sigma_i within the
+    effective rank; V_fused = w_b * V + w_a * V_aligned; the result is
+    U @ diag(sigma) @ V_final.T where column i of V_final is
     V[:, i] + g_i * (V_fused[:, i] - V[:, i]).
 
     Args:
         gate: optional override of the spectrum-derived gate, used to probe
             the stability (all-zero) and plasticity (all-one) limits.
     """
+    return _merge_layer(base_w, align_w, w_b, w_a, cfg, gate)[0]
+
+
+def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     base_w = as_matrix(base_w, "base_w")
     align_w = as_matrix(align_w, "align_w")
     if base_w.shape != align_w.shape:
         raise ShapeError(f"layer shape mismatch: {base_w.shape} vs {align_w.shape}")
     dec = thin_svd(base_w, rank_eps=cfg.rank_eps)
-    v_aligned = align_to_base(dec, align_w)
-    v_fused = global_fuse(dec.V, v_aligned, w_b, w_a)
+    k = dec.effective_rank
+    if k < 1:
+        raise DegenerateBaseError("base matrix has no singular direction above noise")
+    # directions past the effective rank stay zero, so noise-level base
+    # directions never amplify align_w
+    v_aligned = np.zeros_like(dec.V)
+    v_aligned[:, :k] = (align_w.T @ dec.U[:, :k]) / dec.sigma[:k]
+    v_fused = w_b * dec.V + w_a * v_aligned
     if gate is None:
         gate = gate_vector(dec.sigma, cfg)
     g = gate.g
     if g.size != dec.sigma.size:
         raise ShapeError(f"gate has {g.size} entries for {dec.sigma.size} directions")
     v_final = dec.V + (v_fused - dec.V) * g[None, :]
-    return (dec.U * dec.sigma) @ v_final.T
+    return (dec.U * dec.sigma) @ v_final.T, k
 
 
 def _merged_module(new: AdapterModule, accumulated: AdapterModule,
@@ -256,16 +250,23 @@ def merge_modules(new: AdapterModule, accumulated: AdapterModule | None,
     proxy, and each layer is merged independently. Costs exactly one thin
     SVD per layer.
     """
-    if accumulated is None:
-        return new
+    return new if accumulated is None else _merge_traced(new, accumulated, cfg)[0]
+
+
+def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
+                  cfg: MergeConfig) -> tuple[AdapterModule, MergeTrace]:
+    """merge_modules past the first task, with the trace of its decisions."""
     if not mergeable(new, accumulated):
         raise ShapeError("modules are not mergeable: layer shapes differ")
     base, align = select_roles(new, accumulated)
-    merged = []
+    merged, trace = [], []
     for base_layer, align_layer in zip(base.layers, align.layers):
         w_b, w_a = info_weights(base.meta, align.meta, base_layer, align_layer, cfg)
-        merged.append(merge_layer(base_layer, align_layer, w_b, w_a, cfg))
-    return _merged_module(new, accumulated, merged)
+        layer, rank = _merge_layer(base_layer, align_layer, w_b, w_a, cfg)
+        merged.append(layer)
+        trace.append((rank, w_b, w_a))
+    return (_merged_module(new, accumulated, merged),
+            MergeTrace(base=base.meta, align=align.meta, layers=tuple(trace)))
 
 
 def merge_average(new: AdapterModule, accumulated: AdapterModule,

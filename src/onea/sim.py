@@ -21,8 +21,8 @@ from .adapter import AdapterModule, adapter_forward, as_matrix, freeze
 from .counters import SVD_CALLS
 from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
                      check_float, check_int)
-from .merge import (MergeConfig, info_weights, merge_average, merge_modules,
-                    merge_symmetric)
+from .merge import (MergeConfig, MergeTrace, _merge_traced, info_weights,
+                    merge_average, merge_symmetric)
 from .metrics import RunReport
 from .stream import MAX_SEED, StreamSpec, Task, TaskStream
 
@@ -83,6 +83,7 @@ class TrainConfig:
                           ("bottleneck", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
+        check_float("epochs_base", self.epochs_base)  # the epoch budget scales it as a float
         for name in ("lr", "beta", "lambda_min", "lambda_max", "k_decay", "tau_margin"):
             object.__setattr__(self, name, check_float(name, getattr(self, name)))
         if not isinstance(self.cosine_lr, bool):
@@ -355,6 +356,9 @@ class PrototypeBank:
     def __post_init__(self):
         protos = {cid: freeze(np.reshape(vec, -1))
                   for cid, vec in self.prototypes.items()}
+        widths = sorted({arr.size for arr in protos.values()})
+        if len(widths) != 1:
+            raise ShapeError(f"a bank needs prototypes of one width, got {widths}")
         for cid, arr in protos.items():
             if np.linalg.norm(arr) == 0.0:
                 raise NumericError(f"prototype for class {cid} has zero norm")
@@ -412,6 +416,9 @@ def _predict_across_banks(x, adapters, backbone, banks) -> np.ndarray:
     for adapter, bank in zip(adapters, banks):
         ids, protos = bank.matrix()
         f, _ = _normalize_rows(adapted_features(x, adapter, backbone), "features")
+        if f.shape[1] != protos.shape[1]:
+            raise ShapeError(f"feature width {f.shape[1]} does not match "
+                             f"prototype width {protos.shape[1]}")
         scores = f @ protos.T
         col = np.argmax(scores, axis=1)  # ids ascend: first max is lowest id
         top, top_ids = scores[np.arange(col.size), col], ids[col]
@@ -426,7 +433,8 @@ FOLD_STRATEGIES = (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC)
 
 
 def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
-         n_prev: int, merge_cfg: MergeConfig) -> AdapterModule:
+         n_prev: int, merge_cfg: MergeConfig
+         ) -> tuple[AdapterModule, MergeTrace | None]:
     """Fold a newly trained adapter into the carried one.
 
     Args:
@@ -434,20 +442,25 @@ def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
         carried: the adapter folded so far, or None before the first task,
             in which case the new adapter is returned verbatim.
         n_prev: tasks already absorbed into carried (the average's weight).
+
+    Returns (module, MergeTrace); the trace is None for the first task and
+    for average, and for symmetric has carried as its base.
     """
     if strategy not in FOLD_STRATEGIES:
         names = ", ".join(s.value for s in FOLD_STRATEGIES)
         raise ConfigError(f"fold supports {names}; "
                           f"got '{getattr(strategy, 'value', strategy)}'")
-    if strategy is Strategy.ONE_A:
-        return merge_modules(new, carried, merge_cfg)
     if carried is None:
-        return new
+        return new, None
+    if strategy is Strategy.ONE_A:
+        return _merge_traced(new, carried, merge_cfg)
     if strategy is Strategy.AVERAGE:
-        return merge_average(new, carried, n_prev)
+        return merge_average(new, carried, n_prev), None
     w_b, w_a = info_weights(carried.meta, new.meta, carried.layers[0],
                             new.layers[0], merge_cfg)
-    return merge_symmetric(new, carried, w_b, w_a, merge_cfg)
+    trace = MergeTrace(base=carried.meta, align=new.meta,
+                       layers=((None, w_b, w_a),) * len(carried.layers))
+    return merge_symmetric(new, carried, w_b, w_a, merge_cfg), trace
 
 
 def run_config(spec: StreamSpec, train: TrainConfig,
@@ -496,7 +509,7 @@ class _StrategyRun:
         if self.strategy in FOLD_STRATEGIES:
             svd_start = SVD_CALLS.value
             tick = time.perf_counter()
-            adapter = fold(self.strategy, carried, new, idx, self.merge_cfg)
+            adapter, _ = fold(self.strategy, carried, new, idx, self.merge_cfg)
             self.merge_ms.append((time.perf_counter() - tick) * 1000.0)
             self.svd_calls += SVD_CALLS.value - svd_start
         else:

@@ -86,8 +86,9 @@ def reference_svd(w, rank_eps: float = 1e-10):
 
 
 def reference_merge_layer(w_b, w_a, weight_b, weight_a, q=0.5, kappa=10.0,
-                          delta=1e-6, rank_eps=1e-10) -> np.ndarray:
-    """One gated asymmetric layer merge, one direction at a time."""
+                          delta=1e-6, rank_eps=1e-10, gate=None) -> np.ndarray:
+    """One gated asymmetric layer merge, one direction at a time; gate
+    overrides the spectrum-derived gate."""
     w_b = np.asarray(w_b, dtype=np.float64)
     w_a = np.asarray(w_a, dtype=np.float64)
     u, s, v, eff = reference_svd(w_b, rank_eps)
@@ -103,7 +104,7 @@ def reference_merge_layer(w_b, w_a, weight_b, weight_a, q=0.5, kappa=10.0,
     pool = scores[:eff] if eff >= 1 else scores
     theta = float(np.quantile(pool, q))
     g = np.array([1.0 / (1.0 + np.exp(-kappa * (theta - si)))
-                  for si in scores])
+                  for si in scores]) if gate is None else np.asarray(gate)
 
     v_final = np.empty_like(v)
     for i in range(r):

@@ -7,6 +7,7 @@ import pytest
 
 from onea import RunReport, load_module, save_module
 from onea.cli import RUN_DEFAULTS, main
+from onea.counters import SVD_CALLS
 
 from conftest import make_module
 
@@ -229,6 +230,15 @@ def test_run_large_beta_clamps_the_epoch_budget(tmp_path):
     assert (out / "report-per-task.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["epochs_base", "lr"])
+def test_run_rejects_integers_past_the_largest_float(setting, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--set", f"{setting}=1{'0' * 400}", "--set", "beta=1000",
+                 "--out-dir", str(out)]) == 2
+    assert "past the largest float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_bad_config_file(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text("{broken")
@@ -252,6 +262,16 @@ def test_merge_one_a_roundtrip(tmp_path, capsys):
     merged = load_module(out)
     assert merged.meta.class_ids == {0, 1, 2}
     assert merged.meta.sample_count == 60
+
+
+@pytest.mark.parametrize("strategy, svds_per_layer",
+                         [("one-a", 1), ("symmetric", 1), ("average", 0)])
+def test_merge_svd_cost_per_strategy(strategy, svds_per_layer, tmp_path):
+    pa, pb = _two_modules(tmp_path)
+    before = SVD_CALLS.value
+    assert main(["merge", str(pa), str(pb), "--out", str(tmp_path / "m.onea"),
+                 "--strategy", strategy]) == 0
+    assert SVD_CALLS.value - before == svds_per_layer * len(load_module(pa).layers)
 
 
 def test_merge_self_is_near_identity(tmp_path):

@@ -40,7 +40,7 @@ _SLOTS = {
 def test_float_slots_follow_the_rule(slot):
     call, good = slot
     for bad in (True, False, "0.5", None, math.nan, math.inf, -math.inf,
-                np.float64(np.nan)):
+                np.float64(np.nan), 10 ** 400):
         with pytest.raises(ConfigError):
             call(bad)
     stored, expected = call(np.float64(good)), call(good)
@@ -60,3 +60,6 @@ def test_check_float_messages():
         check_float("x", math.nan)
     with pytest.raises(ConfigError, match=r"^x must be finite, got -inf$"):
         check_float("x", -math.inf)
+    with pytest.raises(ConfigError, match=r"^x must be finite, got an integer "
+                                          r"past the largest float$"):
+        check_float("x", -10 ** 400)

@@ -7,13 +7,12 @@ import pytest
 
 from onea import (ConfigError, DegenerateBaseError, GateVector, InfoProxy,
                   MergeConfig, NumericError, ShapeError, TaskMeta,
-                  align_to_base, gate_vector, global_fuse, info_weights,
-                  merge_average, merge_layer, merge_modules, merge_symmetric,
-                  select_roles, thin_svd)
+                  gate_vector, info_weights, merge_average, merge_layer,
+                  merge_modules, merge_symmetric, select_roles, thin_svd)
 from onea.counters import SVD_CALLS
 
 from conftest import (make_module, reference_merge_layer,
-                      reference_merge_symmetric)
+                      reference_merge_symmetric, reference_svd)
 
 CFG = MergeConfig()
 
@@ -128,32 +127,6 @@ def test_select_roles_tie_prefers_new():
     assert align is acc
 
 
-# ------------------------------------------------------------ align_to_base
-
-def test_align_to_base_recovers_own_right_factor():
-    rng = np.random.default_rng(3)
-    w = rng.normal(size=(6, 4))
-    dec = thin_svd(w)
-    aligned = align_to_base(dec, w)
-    assert np.allclose(aligned, dec.V, atol=1e-10)
-
-
-def test_align_to_base_zeroes_noise_directions():
-    base = np.outer(np.arange(1.0, 5.0), np.ones(3))     # rank 1
-    dec = thin_svd(base)
-    assert dec.effective_rank == 1
-    aligned = align_to_base(dec, np.random.default_rng(4).normal(size=(4, 3)))
-    assert aligned.shape == (3, 3)
-    assert np.array_equal(aligned[:, 1:], np.zeros((3, 2)))
-
-
-def test_align_to_base_degenerate_and_shape_errors():
-    with pytest.raises(DegenerateBaseError):
-        align_to_base(thin_svd(np.zeros((3, 3))), np.ones((3, 3)))
-    with pytest.raises(ShapeError):
-        align_to_base(thin_svd(np.eye(3)), np.ones((4, 3)))
-
-
 # ------------------------------------------------------------- info_weights
 
 def test_info_weights_class_count():
@@ -189,15 +162,6 @@ def test_info_weights_are_convex():
                                 rng.normal(size=(3, 3)), cfg)
         assert math.isclose(w_b + w_a, 1.0)
         assert 0.0 <= w_a <= 1.0
-
-
-# -------------------------------------------------------------- global_fuse
-
-def test_global_fuse_blend_and_shape_guard():
-    a, b = np.ones((2, 2)), 3.0 * np.ones((2, 2))
-    assert np.array_equal(global_fuse(a, b, 0.25, 0.75), 2.5 * np.ones((2, 2)))
-    with pytest.raises(ShapeError):
-        global_fuse(a, np.ones((3, 2)), 0.5, 0.5)
 
 
 # -------------------------------------------------------------- gate_vector
@@ -262,9 +226,23 @@ def test_merge_layer_one_gate_is_full_fusion():
     w_a = rng.normal(size=(4, 4))
     ones = GateVector(g=np.ones(4))
     out = merge_layer(w_b, w_a, 0.3, 0.7, CFG, gate=ones)
-    dec = thin_svd(w_b)
-    fused = global_fuse(dec.V, align_to_base(dec, w_a), 0.3, 0.7)
-    assert np.allclose(out, (dec.U * dec.sigma) @ fused.T, atol=1e-12)
+    u, s, v, _ = reference_svd(w_b)
+    fused = 0.3 * v + 0.7 * (w_a.T @ u) / s
+    assert np.allclose(out, (u * s) @ fused.T, atol=1e-12)
+
+
+def test_merge_layer_zeroes_noise_directions():
+    # a rank-1 base: the align update enters through the one direction
+    # above noise only, so the merge stays in the base's column space
+    base = np.outer(np.arange(1.0, 5.0), np.ones(3))
+    w_a = np.random.default_rng(4).normal(size=(4, 3))
+    u, _, _, eff = reference_svd(base)
+    assert eff == 1
+    out = merge_layer(base, w_a, 0.3, 0.7, CFG, gate=GateVector(g=np.ones(3)))
+    want = reference_merge_layer(base, w_a, 0.3, 0.7, gate=np.ones(3))
+    assert np.allclose(out, want, atol=1e-12)
+    u0 = u[:, :1]
+    assert np.allclose(out - u0 @ (u0.T @ out), 0.0, atol=1e-12)
 
 
 def test_merge_layer_matches_reference():
@@ -281,6 +259,10 @@ def test_merge_layer_matches_reference():
 def test_merge_layer_guards():
     with pytest.raises(ShapeError):
         merge_layer(np.eye(3), np.eye(2), 0.5, 0.5, CFG)
+    with pytest.raises(ShapeError):
+        merge_layer(np.eye(3), np.ones((4, 3)), 0.5, 0.5, CFG)
+    with pytest.raises(DegenerateBaseError):
+        merge_layer(np.zeros((3, 3)), np.ones((3, 3)), 0.5, 0.5, CFG)
     with pytest.raises(ShapeError):
         merge_layer(np.eye(3), np.eye(3), 0.5, 0.5, CFG,
                     gate=GateVector(g=np.array([0.5])))
@@ -307,10 +289,10 @@ def test_dominant_direction_moves_least():
     for _ in range(100):
         w_b = rng.normal(size=(6, 6))
         w_a = rng.normal(size=(6, 6))
-        dec = thin_svd(w_b)
-        fused = global_fuse(dec.V, align_to_base(dec, w_a), 0.5, 0.5)
-        gate = gate_vector(dec.sigma, CFG).g
-        delta = np.linalg.norm(fused - dec.V, axis=0)
+        u, s, v, _ = reference_svd(w_b)
+        fused = 0.5 * v + 0.5 * (w_a.T @ u) / s
+        gate = gate_vector(s, CFG).g
+        delta = np.linalg.norm(fused - v, axis=0)
         moved = gate * delta
         usable = delta > 1e-12
         ratios = moved[usable] / delta[usable]

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from onea import (Backbone, ConfigError, MergeConfig, NumericError,
-                  PrototypeBank, ShapeError, Strategy, StreamSpec, TaskMeta,
-                  TaskOrder, TrainConfig, TrainingError, adapted_features,
-                  build_stream, classify, classify_batch, compute_prototypes,
-                  contrastive_loss, epoch_schedule, fold, lambda_schedule,
-                  run_sequence, run_strategies, serialize, train_task)
+from onea import (Backbone, ConfigError, MergeConfig, MergeTrace,
+                  NumericError, PrototypeBank, ShapeError, Strategy,
+                  StreamSpec, TaskMeta, TaskOrder, TrainConfig, TrainingError,
+                  adapted_features, build_stream, classify, classify_batch,
+                  compute_prototypes, contrastive_loss, epoch_schedule, fold,
+                  info_weights, lambda_schedule, merge_modules, modules_equal,
+                  run_sequence, run_strategies, select_roles, serialize,
+                  thin_svd, train_task)
 from onea import sim
 from onea.counters import SVD_CALLS
 from onea.sim import objective, objective_grads
@@ -103,7 +105,10 @@ def test_epoch_schedule_clamps():
     assert epoch_schedule(1, 1000, 1, flat) == flat.epochs_base
 
 
-@pytest.mark.parametrize("epochs_base", [1, 15, 60, 61, 10 ** 300])
+@pytest.mark.parametrize("epochs_base", [
+    1, 15, 60, 61, 10 ** 300,
+    # the largest integer that converts to a finite float
+    pytest.param(2 ** 1024 - 2 ** 970 - 1, id="largest-float")])
 def test_epoch_schedule_large_beta_clamps_without_overflow(epochs_base):
     # wherever the plain formula fits in a float the budget is that formula,
     # clamped; where it overflows the budget is epochs_max
@@ -117,6 +122,12 @@ def test_epoch_schedule_large_beta_clamps_without_overflow(epochs_base):
                 assert got == cfg.epochs_max
                 continue
             assert got == min(max(raw, cfg.epochs_min), cfg.epochs_max)
+
+
+def test_epochs_base_past_the_largest_float_is_rejected():
+    # the epoch budget scales epochs_base as a float
+    with pytest.raises(ConfigError, match="epochs_base"):
+        TrainConfig(epochs_base=2 ** 1024 - 2 ** 970, beta=1000.0)
 
 
 def test_epoch_schedule_guards():
@@ -452,6 +463,16 @@ def test_prototype_bank_rejects_zero_vector():
         PrototypeBank(prototypes={3: np.zeros(4)})
 
 
+def test_prototype_bank_rejects_empty_and_mixed_widths():
+    with pytest.raises(ShapeError):
+        PrototypeBank(prototypes={})
+    with pytest.raises(ShapeError):
+        PrototypeBank(prototypes={0: np.ones(2), 1: np.ones(3)})
+    bank = PrototypeBank(prototypes={0: np.ones(2)})
+    with pytest.raises(ShapeError):
+        bank.updated(PrototypeBank(prototypes={1: np.ones(3)}))
+
+
 def test_prototype_bank_matrix_sorted_and_normalized():
     bank = PrototypeBank(prototypes={5: np.array([0.0, 2.0]),
                                      1: np.array([3.0, 0.0])})
@@ -515,6 +536,13 @@ def test_classify_scale_invariant_with_identity_adapter():
     x = np.array([[0.3, 1.9]])
     assert classify(x, adapter, backbone, bank) == \
         classify(10.0 * x, adapter, backbone, bank)
+
+
+def test_classify_rejects_prototypes_of_another_width():
+    backbone, adapter, _ = _flat_setup()
+    wide = PrototypeBank(prototypes={0: np.ones(3)})
+    with pytest.raises(ShapeError):
+        classify_batch(np.ones((2, 2)), adapter, backbone, wide)
 
 
 def test_classify_rejects_zero_feature_rows():
@@ -670,7 +698,41 @@ def test_fold_first_task_and_non_merge_strategies():
     new = make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))])
     cfg = MergeConfig()
     for strategy in (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC):
-        assert fold(strategy, None, new, 0, cfg) is new
+        folded, trace = fold(strategy, None, new, 0, cfg)
+        assert folded is new and trace is None
     for strategy in (Strategy.PER_TASK, Strategy.SINGLE_FINETUNE, "one-a"):
         with pytest.raises(ConfigError):
             fold(strategy, new, new, 1, cfg)
+
+
+@pytest.mark.parametrize("new_samples, carried_samples",
+                         [(80, 40), (40, 80), (40, 40)],
+                         ids=["new-is-base", "carried-is-base", "tie"])
+def test_fold_trace_matches_an_oracle(new_samples, carried_samples):
+    # the trace must be what the merge decided: rebuild it afterwards from
+    # select_roles, info_weights and thin_svd; layer 0 is rank 1
+    rng = np.random.default_rng(4)
+    cfg = MergeConfig()
+
+    def module(task_id, class_ids, samples):
+        return make_module([np.outer(rng.normal(size=4), rng.normal(size=2)),
+                            rng.normal(size=(2, 4))], task_id=task_id,
+                           class_ids=class_ids, sample_count=samples)
+
+    new = module(2, (2,), new_samples)
+    carried = module(1, (0, 1, 3), carried_samples)
+    merged, trace = fold(Strategy.ONE_A, carried, new, 1, cfg)
+    assert modules_equal(merged, merge_modules(new, carried, cfg))
+    base, align = select_roles(new, carried)
+    layers = tuple((thin_svd(b, rank_eps=cfg.rank_eps).effective_rank,
+                    *info_weights(base.meta, align.meta, b, a, cfg))
+                   for b, a in zip(base.layers, align.layers))
+    assert trace == MergeTrace(base=base.meta, align=align.meta, layers=layers)
+    assert [rank for rank, _, _ in trace.layers] == [1, 2]
+
+    _, trace = fold(Strategy.SYMMETRIC, carried, new, 1, cfg)
+    weights = info_weights(carried.meta, new.meta, carried.layers[0],
+                           new.layers[0], cfg)
+    assert trace == MergeTrace(base=carried.meta, align=new.meta,
+                               layers=((None, *weights),) * 2)
+    assert fold(Strategy.AVERAGE, carried, new, 1, cfg)[1] is None
