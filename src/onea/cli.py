@@ -167,6 +167,7 @@ def cmd_merge(args) -> int:
                             info_proxy=InfoProxy(args.proxy))
     strategy = Strategy(args.strategy)
     merged, trace = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
+    save_module(merged, args.out)  # an unwritable --out prints nothing
     if strategy is Strategy.ONE_A:
         print(f"base: task {trace.base.task_id} ({trace.base.sample_count} samples), "
               f"align: task {trace.align.task_id} ({trace.align.sample_count} samples)")
@@ -177,7 +178,6 @@ def cmd_merge(args) -> int:
         print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
     else:
         print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
-    save_module(merged, args.out)
     print(f"wrote {args.out}")
     return 0
 

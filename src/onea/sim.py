@@ -341,15 +341,20 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
 def adapted_features(x: np.ndarray, adapter: AdapterModule,
                      backbone: Backbone) -> np.ndarray:
     """Backbone features passed through the adapter stack."""
-    z = backbone.features(x)
+    return _adapt(backbone.features(x), adapter)
+
+
+def _adapt(h: np.ndarray, adapter: AdapterModule) -> np.ndarray:
+    """Backbone features h passed through the adapter stack."""
     for w_down, w_up in adapter.layer_pairs():
-        z = adapter_forward(z, w_down, w_up)
-    return z
+        h = adapter_forward(h, w_down, w_up)
+    return h
 
 
 @dataclass(frozen=True)
 class PrototypeBank:
-    """One mean feature vector per class."""
+    """One mean feature vector per class; frozen, so its normalized matrix
+    is built once."""
 
     prototypes: dict[int, np.ndarray]
 
@@ -363,6 +368,10 @@ class PrototypeBank:
             if np.linalg.norm(arr) == 0.0:
                 raise NumericError(f"prototype for class {cid} has zero norm")
         object.__setattr__(self, "prototypes", protos)
+        ids = np.array(sorted(protos), dtype=np.int64)
+        stack, _ = _normalize_rows(np.stack([protos[int(c)] for c in ids]),
+                                   "prototypes")
+        object.__setattr__(self, "_matrix", (freeze(ids), freeze(stack)))
 
     def updated(self, other: "PrototypeBank") -> "PrototypeBank":
         protos = dict(self.prototypes)
@@ -371,10 +380,7 @@ class PrototypeBank:
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Class ids (ascending) and the row-normalized prototype matrix."""
-        ids = np.array(sorted(self.prototypes), dtype=np.int64)
-        stack = np.stack([self.prototypes[int(c)] for c in ids])
-        stack, _ = _normalize_rows(stack, "prototypes")
-        return ids, stack
+        return self._matrix
 
 
 def compute_prototypes(adapter: AdapterModule, backbone: Backbone,
@@ -395,7 +401,7 @@ def compute_prototypes(adapter: AdapterModule, backbone: Backbone,
 def classify_batch(x: np.ndarray, adapter: AdapterModule, backbone: Backbone,
                    bank: PrototypeBank) -> np.ndarray:
     """Cosine nearest-prototype labels; ties resolve to the lowest class id."""
-    return _predict_across_banks(x, [adapter], backbone, [bank])
+    return _predict_across_banks(backbone.features(x), [adapter], [bank])[1]
 
 
 def classify(x: np.ndarray, adapter: AdapterModule, backbone: Backbone,
@@ -409,13 +415,18 @@ def classify(x: np.ndarray, adapter: AdapterModule, backbone: Backbone,
     return int(classify_batch(x, adapter, backbone, bank)[0])
 
 
-def _predict_across_banks(x, adapters, backbone, banks) -> np.ndarray:
-    """Cosine nearest-prototype labels over (adapter, bank) members: the
-    best score wins and an exact tie goes to the lowest class id."""
-    best_ids = best = None
+def _predict_across_banks(h, adapters, banks, best=None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine nearest-prototype scores and labels of backbone features h
+    over (adapter, bank) members: the best score wins and an exact tie goes
+    to the lowest class id. The pick is associative and commutative, so
+    members may be folded in any order and in several calls: best is an
+    optional running (scores, ids) per row of h to start from.
+
+    Returns the running best (scores, ids) after every member."""
     for adapter, bank in zip(adapters, banks):
         ids, protos = bank.matrix()
-        f, _ = _normalize_rows(adapted_features(x, adapter, backbone), "features")
+        f, _ = _normalize_rows(_adapt(h, adapter), "features")
         if f.shape[1] != protos.shape[1]:
             raise ShapeError(f"feature width {f.shape[1]} does not match "
                              f"prototype width {protos.shape[1]}")
@@ -423,10 +434,10 @@ def _predict_across_banks(x, adapters, backbone, banks) -> np.ndarray:
         col = np.argmax(scores, axis=1)  # ids ascend: first max is lowest id
         top, top_ids = scores[np.arange(col.size), col], ids[col]
         if best is not None:
-            keep = (best > top) | ((best == top) & (best_ids < top_ids))
-            top, top_ids = np.where(keep, best, top), np.where(keep, best_ids, top_ids)
-        best, best_ids = top, top_ids
-    return best_ids
+            keep = (best[0] > top) | ((best[0] == top) & (best[1] < top_ids))
+            top, top_ids = np.where(keep, best[0], top), np.where(keep, best[1], top_ids)
+        best = top, top_ids
+    return best
 
 
 FOLD_STRATEGIES = (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC)
@@ -485,7 +496,13 @@ def run_config(spec: StreamSpec, train: TrainConfig,
 class _StrategyRun:
     """One strategy's (adapter, prototype bank) members and accuracy record
     in run_strategies: per-task appends a member at every task, the other
-    strategies replace their single member."""
+    strategies replace their single member.
+
+    Per-task members and banks never change after their task, so per-task
+    keeps the running best (score, id) of every test row seen so far:
+    each member scores each test row once. BLAS rounding depends on the
+    rows in one product, so a kept score can differ from a full rescoring
+    in the last bits, and a label only on such a near-tie."""
 
     def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone,
                  merge_cfg: MergeConfig):
@@ -498,13 +515,15 @@ class _StrategyRun:
         self.step_acc: list[float] = []
         self.merge_ms: list[float] = []
         self.svd_calls = 0
+        self.best: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, idx: int, task: Task, new: AdapterModule,
-             eval_x: np.ndarray, eval_y: np.ndarray, widths: list[int]) -> None:
+             eval_h: np.ndarray, eval_y: np.ndarray, widths: list[int]) -> None:
         """Absorb task idx, record prototypes for its classes and score all
-        test data seen so far. new is the task's freshly trained adapter, or
-        for single-finetune past the first task its carried adapter trained
-        on the task."""
+        test data seen so far, given as its backbone features eval_h (the
+        new task's rows last). new is the task's freshly trained adapter,
+        or for single-finetune past the first task its carried adapter
+        trained on the task."""
         carried = self.adapters[0] if self.adapters else None
         if self.strategy in FOLD_STRATEGIES:
             svd_start = SVD_CALLS.value
@@ -524,9 +543,18 @@ class _StrategyRun:
         else:
             self.adapters[0] = adapter
             self.banks[0] = self.banks[0].updated(fresh)
-        preds = _predict_across_banks(eval_x, self.adapters, self.backbone,
-                                      self.banks)
-        correct = preds == eval_y
+        if self.best is None:
+            best = _predict_across_banks(eval_h, self.adapters, self.banks)
+        else:
+            # the old members score only the new task's rows
+            old = _predict_across_banks(eval_h[self.best[1].size:],
+                                        self.adapters[:-1], self.banks[:-1])
+            best = _predict_across_banks(
+                eval_h, self.adapters[-1:], self.banks[-1:],
+                tuple(np.concatenate(pair) for pair in zip(self.best, old)))
+        if self.strategy is Strategy.PER_TASK:
+            self.best = best
+        correct = best[1] == eval_y
         self.step_acc.append(float(np.mean(correct)))
         offset = 0
         for j, width in enumerate(widths):
@@ -583,12 +611,12 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
         trained = train_task(task, backbone, cfg, inits, t0=t0)
         new, continued = trained[0], trained[-1]
         seen = stream.tasks[:idx + 1]
-        eval_x = np.concatenate([t.data.test_x for t in seen])
+        eval_h = backbone.features(np.concatenate([t.data.test_x for t in seen]))
         eval_y = np.concatenate([t.data.test_y for t in seen])
         widths = [t.data.test_x.shape[0] for t in seen]
         for run in runs:
             absorbed = continued if run.strategy is Strategy.SINGLE_FINETUNE else new
-            run.step(idx, task, absorbed, eval_x, eval_y, widths)
+            run.step(idx, task, absorbed, eval_h, eval_y, widths)
     total_s = time.perf_counter() - started
 
     config_echo = run_config(spec, cfg, merge_cfg)

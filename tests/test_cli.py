@@ -326,6 +326,16 @@ def test_merge_error_exit_codes(tmp_path, capsys):
                  "--out", str(out)]) == 4
 
 
+@pytest.mark.parametrize("strategy", ["one-a", "average", "symmetric"])
+def test_merge_unwritable_out_prints_nothing(strategy, tmp_path, capsys):
+    pa, pb = _two_modules(tmp_path)
+    out = tmp_path / "missing" / "merged.onea"
+    assert main(["merge", str(pa), str(pb), "--out", str(out),
+                 "--strategy", strategy]) == 4
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def test_merge_degenerate_base_exit_3(tmp_path, capsys):
     _, new = _two_modules(tmp_path)
     zero = tmp_path / "zero.onea"

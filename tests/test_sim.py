@@ -562,7 +562,8 @@ def test_cross_bank_tie_breaks_to_lowest_id(high_first):
                                     4: np.array([0.0, 1.0])})
     banks = [high, low] if high_first else [low, high]
     x = np.array([[3.0, 1.0], [0.5, 5.0], [2.0, 2.0]])
-    preds = sim._predict_across_banks(x, [adapter, adapter], backbone, banks)
+    _, preds = sim._predict_across_banks(backbone.features(x), [adapter, adapter],
+                                         banks)
     assert list(preds) == [2, 4, 2]
 
 
@@ -578,8 +579,8 @@ def test_predict_across_banks_matches_reference_loop():
         banks = [PrototypeBank(prototypes={int(c): grid[rng.integers(4)]
                                            for c in g}) for g in groups]
         x = grid[rng.integers(4, size=20)] * rng.choice([0.5, 1.0, 3.0], (20, 1))
-        preds = sim._predict_across_banks(x, [adapter] * len(banks), backbone,
-                                          banks)
+        _, preds = sim._predict_across_banks(backbone.features(x),
+                                             [adapter] * len(banks), banks)
         for row, pred in zip(x, preds):
             f = row / np.linalg.norm(row)
             scored = [(-float(f @ (v / np.linalg.norm(v))), cid)
@@ -684,6 +685,109 @@ def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, st
     monkeypatch.setattr(sim, "train_task", recording)
     run_strategies(_tiny_stream(total_classes=6, num_tasks=3), strategies, QUICK)
     assert calls == stacks
+
+
+def _rescored_per_task(tasks, adapters, banks, backbone):
+    """Reference per-task record: every member rescored over every test
+    row seen so far at each step."""
+    t_total = len(tasks)
+    acc = [[None] * t_total for _ in range(t_total)]
+    step_acc = []
+    for idx in range(t_total):
+        seen = tasks[:idx + 1]
+        h = backbone.features(np.concatenate([t.data.test_x for t in seen]))
+        _, preds = sim._predict_across_banks(h, adapters[:idx + 1], banks[:idx + 1])
+        correct = preds == np.concatenate([t.data.test_y for t in seen])
+        step_acc.append(float(np.mean(correct)))
+        offset = 0
+        for j, task in enumerate(seen):
+            width = task.data.test_x.shape[0]
+            acc[j][idx] = float(np.mean(correct[offset:offset + width]))
+            offset += width
+    return acc, step_acc
+
+
+@pytest.mark.parametrize("spec", [
+    dict(total_classes=12, num_tasks=6),
+    dict(total_classes=12, num_tasks=8, order=TaskOrder.DESCENDING,
+         samples_per_class=3),
+], ids=["permuted", "descending-one-row-blocks"])
+def test_per_task_running_best_matches_full_rescoring(monkeypatch, spec):
+    stream = _tiny_stream(**spec)
+    banks, backbones = [], []
+
+    def recording(adapter, backbone, data, class_ids=None):
+        banks.append(compute_prototypes(adapter, backbone, data, class_ids))
+        backbones.append(backbone)
+        return banks[-1]
+
+    monkeypatch.setattr(sim, "compute_prototypes", recording)
+    report, adapters = run_strategies(stream, [Strategy.PER_TASK], QUICK)[0]
+    acc, step_acc = _rescored_per_task(stream.tasks, adapters, banks, backbones[0])
+    assert report.acc_matrix == acc
+    assert report.step_acc == step_acc
+
+
+def test_per_task_running_best_on_exact_ties():
+    # one-hot prototypes under an identity backbone and adapter make every
+    # score one feature entry, so scores tie exactly within and across
+    # members, whatever the number of rows scored at once
+    d = 3
+    backbone = Backbone(projection=np.eye(d))
+    rng = np.random.default_rng(5)
+    class_sets = [(5, 1), (3,), (0, 4), (2,), (7, 6)]
+    run = sim._StrategyRun(Strategy.PER_TASK, len(class_sets), backbone,
+                           MergeConfig())
+    tasks, adapters = [], []
+    for idx, cids in enumerate(class_sets):
+        train_y = np.repeat(cids, 2)
+        test_x = rng.integers(0, 3, size=(idx + 2, d)).astype(float)
+        test_x[test_x.sum(axis=1) == 0.0] = 1.0
+        data = SyntheticDataset(train_x=2.0 * np.eye(d)[train_y % d], train_y=train_y,
+                                test_x=test_x, test_y=rng.choice(cids, idx + 2))
+        tasks.append(Task(meta=TaskMeta(task_id=idx + 1, class_ids=frozenset(cids),
+                                        sample_count=train_y.size), data=data))
+        adapters.append(make_module([np.ones((d, 1)), np.zeros((1, d))],
+                                    task_id=idx + 1, class_ids=cids))
+        seen = tasks[:idx + 1]
+        run.step(idx, tasks[-1], adapters[-1],
+                 backbone.features(np.concatenate([t.data.test_x for t in seen])),
+                 np.concatenate([t.data.test_y for t in seen]),
+                 [t.data.test_x.shape[0] for t in seen])
+    acc, step_acc = _rescored_per_task(tasks, adapters, run.banks, backbone)
+    assert run.acc_matrix == acc
+    assert run.step_acc == step_acc
+
+
+def test_per_task_scores_each_member_on_each_test_row_once(monkeypatch):
+    stream = _tiny_stream(total_classes=12, num_tasks=6)
+    rows, calls = [], []    # scored rows and adapter forwards, per step
+    in_prototypes = False
+
+    def counting(h, w_down, w_up):
+        if not in_prototypes:
+            rows[-1] += h.shape[0]
+            calls[-1] += 1
+        return sim_adapter_forward(h, w_down, w_up)
+
+    def marking(*args, **kwargs):
+        nonlocal in_prototypes
+        rows.append(0)
+        calls.append(0)
+        in_prototypes = True
+        try:
+            return compute_prototypes(*args, **kwargs)
+        finally:
+            in_prototypes = False
+
+    sim_adapter_forward = sim.adapter_forward
+    monkeypatch.setattr(sim, "adapter_forward", counting)
+    monkeypatch.setattr(sim, "compute_prototypes", marking)
+    run_strategies(stream, [Strategy.PER_TASK], QUICK)
+    t_total = len(stream.tasks)
+    test_rows = sum(t.data.test_x.shape[0] for t in stream.tasks)
+    assert calls == list(range(1, t_total + 1))
+    assert sum(rows) == t_total * test_rows
 
 
 def test_run_strategies_rejects_empty_and_unknown():

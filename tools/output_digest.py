@@ -1,9 +1,10 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on eight configs x stream/train seeds {0, 3}, six with all
-five strategies and two with a single one (single-finetune alone trains only
-the continuation past the first task, per-task alone only fresh adapters),
-then `onea merge` for the three fold strategies on adapters
+Runs `onea run` on nine configs x stream/train seeds {0, 3}, six with all
+five strategies and three with a single one (single-finetune alone trains
+only the continuation past the first task, per-task alone only fresh
+adapters; per-task-one-row has one test row per task, so every test block
+is scored through the single-row product path), then `onea merge` for the three fold strategies on adapters
 from those runs. Each case hashes its exit code, its stdout and stderr
 (output directory masked), each report's canonical_bytes() and every
 .onea file it wrote. Prints one sha256 per case and a total; two source
@@ -36,6 +37,8 @@ CONFIGS = {
                         "batch_size": 1},
     "single-finetune-only": {"strategies": ["single-finetune"]},
     "per-task-only": {"strategies": ["per-task"]},
+    "per-task-one-row": {"classes": 12, "tasks": 12, "samples_per_class": 3,
+                         "batch_size": 4, "strategies": ["per-task"]},
 }
 SEEDS = (0, 3)
 MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
