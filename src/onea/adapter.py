@@ -30,7 +30,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ShapeError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
     return arr
 
@@ -210,7 +210,7 @@ def deserialize(data: bytes) -> AdapterModule:
             raise FormatError(
                 f"payload truncated in layer {i}: need {nbytes} bytes", len(data))
         raw = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=cursor)
-        if not np.all(np.isfinite(raw)):
+        if not np.isfinite(raw).all():
             raise FormatError(f"layer {i} payload holds non-finite values", cursor)
         layers.append(raw.astype(np.float64).reshape(rows, cols))
         cursor += nbytes

@@ -11,6 +11,7 @@ concat-then-SVD merge.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,8 +82,9 @@ class GateVector:
         g = np.asarray(self.g, dtype=np.float64)
         if g.ndim != 1 or g.size == 0:
             raise ShapeError(f"gate must be a non-empty vector, got shape {g.shape}")
-        if np.any(g < 0.0) or np.any(g > 1.0):
-            raise NumericError("gate entries must lie in [0, 1]")
+        # NaN fails both comparisons, so this also rejects non-finite entries
+        if not ((g >= 0.0) & (g <= 1.0)).all():
+            raise NumericError("gate entries must be finite and lie in [0, 1]")
         object.__setattr__(self, "g", freeze(g).reshape(-1))
 
 
@@ -163,13 +165,30 @@ def info_weights(base_meta: TaskMeta, align_meta: TaskMeta,
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow; underflows cleanly to exact 0/1.
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows and underflows cleanly to exact 0/1; each
+    # side is the usual stable form, 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
+
+
+def _linear_quantile(desc: np.ndarray, q: float) -> float:
+    """np.quantile(desc, q) for a non-increasing vector, in closed form.
+
+    numpy's default 'linear' rule on the ascending order: virtual index
+    (n - 1) * q, its floor clipped at the last index, and numpy's
+    two-sided lerp. The same IEEE operations give the same bits (only a
+    lone -0.0 comes back as +0.0), with no sort: ascending index i is
+    desc[n - 1 - i].
+    """
+    last = desc.size - 1
+    virtual = last * q
+    lo = min(math.floor(virtual), last)
+    gamma = virtual - lo
+    a, b = float(desc[last - lo]), float(desc[last - min(lo + 1, last)])
+    if gamma >= 0.5:
+        return b - (b - a) * (1.0 - gamma)
+    return a + (b - a) * gamma
 
 
 def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
@@ -179,17 +198,21 @@ def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
     is the quantile_q point of the scores within the effective rank, and
     g_i = logistic(kappa * (theta - s_i)). Dominant directions therefore
     gate toward 0 (kept at base) and weak ones toward 1 (fully fused);
-    g is exactly 0.5 where s_i equals the threshold.
+    g is exactly 0.5 where s_i equals the threshold, which is numpy's
+    default 'linear' quantile computed in closed form. sigma must be
+    non-increasing, as thin_svd returns it.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ShapeError(f"sigma must be a non-empty 1-D array, got shape {np.shape(sigma)}")
-    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
+    if (s < 0.0).any() or not np.isfinite(s).all():
         raise NumericError("sigma must be finite and non-negative")
+    if (s[1:] > s[:-1]).any():
+        raise NumericError("sigma must be non-increasing, as thin_svd returns it")
     scores = s / (s[0] + cfg.delta)
     eff = _effective_rank(s, cfg.rank_eps)
     pool = scores[:eff] if eff >= 1 else scores
-    theta = float(np.quantile(pool, cfg.quantile_q))
+    theta = _linear_quantile(pool, cfg.quantile_q)
     g = _logistic(cfg.sharpness_kappa * (theta - scores))
     return GateVector(g=g)
 

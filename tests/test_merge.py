@@ -10,6 +10,7 @@ from onea import (ConfigError, DegenerateBaseError, GateVector, InfoProxy,
                   gate_vector, info_weights, merge_average, merge_layer,
                   merge_modules, merge_symmetric, select_roles, thin_svd)
 from onea.counters import SVD_CALLS
+from onea.merge import _linear_quantile, _logistic
 
 from conftest import (make_module, reference_merge_layer,
                       reference_merge_symmetric, reference_svd)
@@ -50,6 +51,9 @@ def test_gate_vector_validation():
         GateVector(g=np.array([-0.1, 0.5]))
     with pytest.raises(NumericError):
         GateVector(g=np.array([0.5, 1.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            GateVector(g=np.array([bad, 0.5]))
     gate = GateVector(g=np.array([0.0, 0.5, 1.0]))
     assert not gate.g.flags.writeable
 
@@ -207,6 +211,75 @@ def test_gate_vector_input_guards():
         gate_vector(np.array([1.0, -0.5]), CFG)
     with pytest.raises(NumericError):
         gate_vector(np.array([np.inf, 1.0]), CFG)
+    with pytest.raises(NumericError):
+        gate_vector(np.array([np.nan, 1.0]), CFG)
+    # the first entry is read as sigma_1 and the head as the top directions
+    with pytest.raises(NumericError):
+        gate_vector(np.array([0.1, 5.0, 1.0]), CFG)
+
+
+def _masked_logistic(x):
+    # the piecewise form gate_vector used before its branch-free one
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _draw_pool(rng):
+    """A non-increasing pool of 1-40 non-negative values spanning 1e-8 to
+    1e8, often with ties and zeros."""
+    n = int(rng.integers(1, 41))
+    values = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+    if rng.random() < 0.3:                       # ties
+        values = rng.choice(values[:max(1, n // 3)], size=n)
+    if rng.random() < 0.1:
+        values[rng.random(n) < 0.3] = 0.0
+    return np.sort(values)[::-1]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_gate_threshold_is_numpy_linear_quantile_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(3000):
+        pool = _draw_pool(rng)
+        for q in (0.0, 0.25, 0.5, 0.75, 1.0, float(rng.random())):
+            got = _linear_quantile(pool, q)
+            want = float(np.quantile(pool, q))
+            assert got == want and _bits(got) == _bits(want), (pool, q)
+    # a lone -0.0 comes back as +0.0: equal, though not the same bits
+    for q in (0.0, 0.5, 1.0):
+        assert _linear_quantile(np.array([-0.0]), q) == np.quantile([-0.0], q)
+
+
+def test_logistic_matches_masked_form_bit_for_bit():
+    rng = np.random.default_rng(21)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0,
+                      745.0, -745.0, 746.0, -746.0, 1e6, -1e6, np.inf, -np.inf])
+    for x in (edges, rng.normal(scale=5.0, size=4000),
+              rng.uniform(-800.0, 800.0, size=4000)):
+        assert _logistic(x).tobytes() == _masked_logistic(x).tobytes()
+
+
+def test_gate_vector_matches_numpy_quantile_gate_bit_for_bit():
+    rng = np.random.default_rng(22)
+    configs = [MergeConfig(quantile_q=q, sharpness_kappa=k)
+               for q in (0.0, 0.3, 0.5, 1.0) for k in (0.5, 10.0, 1e4)]
+    for _ in range(250):
+        sigma = _draw_pool(rng)
+        for cfg in configs:
+            scores = sigma / (sigma[0] + cfg.delta)
+            eff = int(np.count_nonzero(sigma > cfg.rank_eps * sigma[0])) \
+                if sigma[0] > 0.0 else 0
+            pool = scores[:eff] if eff else scores
+            theta = float(np.quantile(pool, cfg.quantile_q))
+            want = _masked_logistic(cfg.sharpness_kappa * (theta - scores))
+            assert gate_vector(sigma, cfg).g.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- merge_layer

@@ -4,8 +4,10 @@ Runs `onea run` on nine configs x stream/train seeds {0, 3}, six with all
 five strategies and three with a single one (single-finetune alone trains
 only the continuation past the first task, per-task alone only fresh
 adapters; per-task-one-row has one test row per task, so every test block
-is scored through the single-row product path), then `onea merge` for the three fold strategies on adapters
-from those runs. Each case hashes its exit code, its stdout and stderr
+is scored through the single-row product path), then `onea merge` for the
+three fold strategies on adapters from those runs, and for one-a at
+--quantile-q 0 and 1, where the gate threshold is the pool's smallest and
+largest score. Each case hashes its exit code, its stdout and stderr
 (output directory masked), each report's canonical_bytes() and every
 .onea file it wrote. Prints one sha256 per case and a total; two source
 trees that print the same total produce the same outputs on the matrix.
@@ -43,6 +45,12 @@ CONFIGS = {
 SEEDS = (0, 3)
 MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
                     "--proxy", "frobenius", "--n-prev", "2"])
+# (strategy, case tag, first of two consecutive bank adapters, flags): each
+# fold strategy under each flag set, then one-a at the clipped ends of
+# numpy's linear quantile
+MERGE_CASES = ([(strategy, f"f{i}", i + 1, flags)
+                for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
+               + [("one-a", f"q{q}", 1, ["--quantile-q", q]) for q in ("0", "1")])
 
 
 def run_case(main, argv: list[str], out_dir: Path) -> bytes:
@@ -89,19 +97,17 @@ def main() -> int:
                 print(case, digest, flush=True)
         for seed in SEEDS:
             src = work / f"run-default-s{seed}"
-            for strategy in STRATEGIES[:3]:
-                for i, flags in enumerate(MERGE_FLAGS):
-                    case = f"merge-{strategy}-s{seed}-f{i}"
-                    out_dir = work / case
-                    out_dir.mkdir()
-                    argv = ["merge", str(src / f"adapter-per-task-t{i + 1}.onea"),
-                            str(src / f"adapter-per-task-t{i + 2}.onea"),
-                            "--strategy", strategy, "--out", str(out_dir / "merged.onea"),
-                            *flags]
-                    digest = hashlib.sha256(
-                        run_case(onea.cli.main, argv, out_dir)).hexdigest()
-                    total.update(f"{case} {digest}\n".encode())
-                    print(case, digest, flush=True)
+            for strategy, tag, first, flags in MERGE_CASES:
+                case = f"merge-{strategy}-s{seed}-{tag}"
+                out_dir = work / case
+                out_dir.mkdir()
+                argv = ["merge", str(src / f"adapter-per-task-t{first}.onea"),
+                        str(src / f"adapter-per-task-t{first + 1}.onea"),
+                        "--strategy", strategy, "--out", str(out_dir / "merged.onea"),
+                        *flags]
+                digest = hashlib.sha256(run_case(onea.cli.main, argv, out_dir)).hexdigest()
+                total.update(f"{case} {digest}\n".encode())
+                print(case, digest, flush=True)
     print("total", total.hexdigest())
     return 0
 
