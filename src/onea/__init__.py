@@ -14,8 +14,8 @@ from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       weighted_average_accuracy)
 from .sim import (Backbone, PrototypeBank, Strategy, TrainConfig,
                   adapted_features, classify, classify_batch,
-                  compute_prototypes, contrastive_loss, epoch_schedule, fold,
-                  lambda_schedule, run_sequence, run_strategies, train_task)
+                  compute_prototypes, epoch_schedule, fold, lambda_schedule,
+                  run_sequence, run_strategies, train_task)
 from .stream import (StreamSpec, SyntheticDataset, Task, TaskOrder, TaskStream,
                      allocate_tasks, build_stream, class_ratios)
 

@@ -127,8 +127,9 @@ def thin_svd(w: np.ndarray,
     signs[signs == 0.0] = 1.0
     u = u * signs
     v = v * signs
-    return SingularDecomposition(U=freeze(u), sigma=freeze(s.reshape(-1)),
-                                 V=freeze(v),
+    for arr in (u, s, v):
+        arr.flags.writeable = False
+    return SingularDecomposition(U=u, sigma=s, V=v,
                                  effective_rank=_effective_rank(s, rank_eps))
 
 
@@ -231,14 +232,19 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
         gate: optional override of the spectrum-derived gate, used to probe
             the stability (all-zero) and plasticity (all-one) limits.
     """
-    return _merge_layer(base_w, align_w, w_b, w_a, cfg, gate)[0]
-
-
-def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     base_w = as_matrix(base_w, "base_w")
     align_w = as_matrix(align_w, "align_w")
     if base_w.shape != align_w.shape:
         raise ShapeError(f"layer shape mismatch: {base_w.shape} vs {align_w.shape}")
+    if gate is not None and gate.g.size != min(base_w.shape):
+        raise ShapeError(f"gate has {gate.g.size} entries for "
+                         f"{min(base_w.shape)} directions")
+    return _merge_layer(base_w, align_w, w_b, w_a, cfg, gate)[0]
+
+
+def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
+    """merge_layer on checked, same-shape operands and a gate of the right
+    size; returns the merged layer and the base's effective rank."""
     dec = thin_svd(base_w, rank_eps=cfg.rank_eps)
     k = dec.effective_rank
     if k < 1:
@@ -250,10 +256,7 @@ def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     v_fused = w_b * dec.V + w_a * v_aligned
     if gate is None:
         gate = gate_vector(dec.sigma, cfg)
-    g = gate.g
-    if g.size != dec.sigma.size:
-        raise ShapeError(f"gate has {g.size} entries for {dec.sigma.size} directions")
-    v_final = dec.V + (v_fused - dec.V) * g[None, :]
+    v_final = dec.V + (v_fused - dec.V) * gate.g[None, :]
     return (dec.U * dec.sigma) @ v_final.T, k
 
 

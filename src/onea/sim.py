@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .metrics import RunReport
 from .stream import MAX_SEED, StreamSpec, Task, TaskStream
 
 BACKBONE_DIM = 32
+_INT64 = np.iinfo(np.int64)
 
 
 class Strategy(enum.Enum):
@@ -162,24 +162,6 @@ def _pair_coefficients(sims: np.ndarray, same: np.ndarray, tau: float):
     target = np.where(same, 1.0, tau)
     loss = 0.5 * (coeff * (sims - target)).sum(axis=(-2, -1))
     return loss, coeff
-
-
-def contrastive_loss(features: np.ndarray, labels, tau: float) -> float:
-    """Pairwise cosine objective: positives are pulled to similarity 1,
-    negatives hinge-pushed below tau. Features are normalized internally;
-    both pair means are over all within-batch pairs of that kind.
-    """
-    z = as_matrix(features, "features")
-    labels = np.asarray(labels).reshape(-1)
-    if labels.shape[0] != z.shape[0]:
-        raise ShapeError(f"{labels.shape[0]} labels for {z.shape[0]} rows")
-    if not 0.0 <= tau < 1.0:
-        raise ConfigError(f"tau must lie in [0, 1), got {tau}")
-    loss, _ = _contrastive_grad(z, labels, tau)
-    if z.shape[0] < 2:
-        warnings.warn("batch holds no sample pairs; contrastive loss is 0",
-                      RuntimeWarning, stacklevel=2)
-    return float(loss)
 
 
 def _contrastive_grad(z: np.ndarray, labels: np.ndarray, tau: float):
@@ -359,19 +341,20 @@ class PrototypeBank:
     prototypes: dict[int, np.ndarray]
 
     def __post_init__(self):
-        protos = {cid: freeze(np.reshape(vec, -1))
-                  for cid, vec in self.prototypes.items()}
+        # ids are stored as int64, so an id past its range is rejected here
+        protos = {check_int("class id", cid, _INT64.min, _INT64.max):
+                  np.reshape(vec, -1) for cid, vec in self.prototypes.items()}
         widths = sorted({arr.size for arr in protos.values()})
         if len(widths) != 1:
             raise ShapeError(f"a bank needs prototypes of one width, got {widths}")
-        for cid, arr in protos.items():
-            if np.linalg.norm(arr) == 0.0:
-                raise NumericError(f"prototype for class {cid} has zero norm")
-        object.__setattr__(self, "prototypes", protos)
-        ids = np.array(sorted(protos), dtype=np.int64)
-        stack, _ = _normalize_rows(np.stack([protos[int(c)] for c in ids]),
-                                   "prototypes")
-        object.__setattr__(self, "_matrix", (freeze(ids), freeze(stack)))
+        ids = sorted(protos)
+        stack = as_matrix(np.stack([protos[c] for c in ids]), "prototypes")
+        stack.flags.writeable = False
+        object.__setattr__(self, "prototypes", dict(zip(ids, stack)))
+        normed, _ = _normalize_rows(stack, "prototypes")
+        ids = np.array(ids, dtype=np.int64)
+        ids.flags.writeable = normed.flags.writeable = False
+        object.__setattr__(self, "_matrix", (ids, normed))
 
     def updated(self, other: "PrototypeBank") -> "PrototypeBank":
         protos = dict(self.prototypes)

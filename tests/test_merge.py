@@ -81,6 +81,14 @@ def test_thin_svd_sign_convention():
             assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
+def test_thin_svd_factors_are_read_only():
+    dec = thin_svd(np.random.default_rng(3).normal(size=(5, 3)))
+    for factor in (dec.U, dec.sigma, dec.V):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+
+
 def test_thin_svd_is_deterministic():
     w = np.random.default_rng(2).normal(size=(5, 5))
     a, b = thin_svd(w), thin_svd(w)

@@ -10,7 +10,7 @@ from onea import (Backbone, ConfigError, MergeConfig, MergeTrace,
                   NumericError, PrototypeBank, ShapeError, Strategy,
                   StreamSpec, TaskMeta, TaskOrder, TrainConfig, TrainingError,
                   adapted_features, build_stream, classify, classify_batch,
-                  compute_prototypes, contrastive_loss, epoch_schedule, fold,
+                  compute_prototypes, epoch_schedule, fold,
                   info_weights, lambda_schedule, merge_modules, modules_equal,
                   run_sequence, run_strategies, select_roles, serialize,
                   thin_svd, train_task)
@@ -140,49 +140,43 @@ def test_epoch_schedule_guards():
 
 # --------------------------------------------------------- contrastive loss
 
+def _contrastive_loss(feats, labels, tau=0.07):
+    return float(sim._contrastive_grad(np.asarray(feats, dtype=np.float64),
+                                       np.asarray(labels), tau)[0])
+
+
 def test_contrastive_loss_hand_value():
     feats = np.array([[2.0, 0.0], [1.0, 0.0], [3.0, 3.0]])
     labels = [0, 0, 1]
     # positive pair is perfectly aligned; both negative pairs sit at
     # cos = sqrt(1/2), each paying sqrt(1/2) - tau
     want = math.sqrt(0.5) - 0.07
-    assert contrastive_loss(feats, labels, 0.07) == pytest.approx(want, abs=1e-12)
+    assert _contrastive_loss(feats, labels) == pytest.approx(want, abs=1e-12)
 
 
 def test_contrastive_loss_positive_only_batches():
-    assert contrastive_loss(np.array([[1.0, 0.0], [2.0, 0.0]]), [0, 0], 0.07) \
+    assert _contrastive_loss([[1.0, 0.0], [2.0, 0.0]], [0, 0]) \
         == pytest.approx(0.0, abs=1e-12)
-    assert contrastive_loss(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 0], 0.07) \
+    assert _contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [0, 0]) \
         == pytest.approx(1.0, abs=1e-12)
 
 
 def test_contrastive_loss_inactive_negatives_cost_nothing():
-    feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert contrastive_loss(feats, [0, 1], 0.07) == 0.0
+    assert _contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [0, 1]) == 0.0
 
 
 def test_contrastive_loss_is_scale_invariant():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(6, 4))
     labels = [0, 0, 1, 1, 2, 2]
-    a = contrastive_loss(feats, labels, 0.07)
-    b = contrastive_loss(7.5 * feats, labels, 0.07)
+    a = _contrastive_loss(feats, labels)
+    b = _contrastive_loss(7.5 * feats, labels)
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_contrastive_loss_warns_without_pairs():
-    with pytest.warns(RuntimeWarning):
-        assert contrastive_loss(np.array([[1.0, 0.0]]), [0], 0.07) == 0.0
-
-
-def test_contrastive_loss_guards():
-    feats = np.ones((2, 2))
-    with pytest.raises(ShapeError):
-        contrastive_loss(feats, [0], 0.07)
-    with pytest.raises(ConfigError):
-        contrastive_loss(feats, [0, 1], 1.0)
+def test_contrastive_loss_rejects_zero_norm_rows():
     with pytest.raises(NumericError):
-        contrastive_loss(np.array([[0.0, 0.0], [1.0, 0.0]]), [0, 1], 0.07)
+        _contrastive_loss([[0.0, 0.0], [1.0, 0.0]], [0, 1])
 
 
 def _pairwise_reference(sims, labels, tau):
@@ -248,7 +242,7 @@ def test_objective_single_class_uses_contrastive_only():
     assert terms["ce"] == 0.0
     assert loss == terms["ctr"]
     z = h + np.maximum(h @ params["w_down"], 0.0) @ params["w_up"]
-    assert loss == pytest.approx(contrastive_loss(z, y, 0.07), abs=1e-12)
+    assert loss == pytest.approx(_contrastive_loss(z, y), abs=1e-12)
     _, grads = objective_grads(h, y, params, 0.25, 0.07)
     assert np.array_equal(grads["head_w"], np.zeros((4, 1)))
     assert np.array_equal(grads["head_b"], np.zeros(1))
@@ -502,6 +496,26 @@ def test_prototype_bank_keeps_its_own_copy():
     assert not bank.prototypes[1].flags.writeable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prototype_bank_rejects_non_finite_prototypes(bad):
+    with pytest.raises(NumericError):
+        PrototypeBank(prototypes={0: np.array([bad, 1.0]),
+                                  1: np.array([0.0, 1.0])})
+
+
+@pytest.mark.parametrize("cid", [2.5, True, "1", 2 ** 63, -2 ** 63 - 1])
+def test_prototype_bank_class_ids_follow_the_integer_rule(cid):
+    with pytest.raises(ConfigError, match="class id"):
+        PrototypeBank(prototypes={cid: np.array([1.0, 0.0])})
+
+
+def test_prototype_bank_accepts_numpy_integer_ids():
+    bank = PrototypeBank(prototypes={np.int64(5): np.array([0.0, 1.0]),
+                                     np.int32(1): np.array([1.0, 0.0])})
+    assert list(bank.prototypes) == [1, 5]
+    assert all(type(c) is int for c in bank.prototypes)
+
+
 # --------------------------------------------------------------- classifier
 
 def _flat_setup():
@@ -517,6 +531,15 @@ def test_classify_batch_picks_nearest_prototype():
     backbone, adapter, bank = _flat_setup()
     x = np.array([[3.0, 1.0], [0.5, 5.0]])
     assert list(classify_batch(x, adapter, backbone, bank)) == [0, 1]
+
+
+def test_class_ids_and_labels_are_int64():
+    backbone, adapter, bank = _flat_setup()
+    ids, _ = bank.matrix()
+    assert ids.dtype == np.int64 and not ids.flags.writeable
+    labels = classify_batch(np.array([[3.0, 1.0], [0.5, 5.0]]), adapter,
+                            backbone, bank)
+    assert labels.dtype == np.int64
 
 
 def test_classify_tie_breaks_to_lowest_id():
