@@ -4,8 +4,8 @@ learning, plus a deterministic desk-scale harness to compare strategies."""
 from .adapter import (AdapterModule, TaskMeta, adapter_forward, deserialize,
                       load_module, mergeable, modules_equal, save_module,
                       serialize)
-from .errors import (ConfigError, DegenerateBaseError, FormatError,
-                     NumericError, OneaError, ShapeError, TrainingError)
+from .errors import (ConfigError, FormatError, NumericError, OneaError,
+                     ShapeError, TrainingError)
 from .merge import (GateVector, InfoProxy, MergeConfig, MergeTrace,
                     SingularDecomposition, gate_vector, info_weights,
                     merge_average, merge_layer, merge_modules, merge_symmetric,

@@ -34,10 +34,6 @@ class NumericError(OneaError):
     """A numeric routine failed (non-convergence, NaN, zero norm)."""
 
 
-class DegenerateBaseError(NumericError):
-    """The base matrix of an alignment has no usable singular directions."""
-
-
 class TrainingError(NumericError):
     """Training diverged; the message echoes seed and config for replay."""
 

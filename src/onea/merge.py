@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adapter import AdapterModule, TaskMeta, as_matrix, freeze, mergeable
 from .counters import SVD_CALLS
-from .errors import (ConfigError, DegenerateBaseError, NumericError,
-                     ShapeError, check_float, check_int)
+from .errors import (ConfigError, NumericError, ShapeError, check_float,
+                     check_int)
 
 
 class InfoProxy(enum.Enum):
@@ -29,6 +28,14 @@ class InfoProxy(enum.Enum):
     CLASS_COUNT = "class-count"
     FROBENIUS_NORM = "frobenius"
     SINGULAR_ENERGY = "singular-energy"
+
+
+def _unit_interval(name: str, value) -> float:
+    """check_float, then the [0, 1] range of quantile_q and the merge weights."""
+    value = check_float(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,7 @@ class MergeConfig:
     def __post_init__(self):
         for name in ("quantile_q", "sharpness_kappa", "delta", "rank_eps"):
             object.__setattr__(self, name, check_float(name, getattr(self, name)))
-        if not 0.0 <= self.quantile_q <= 1.0:
-            raise ConfigError(f"quantile_q must lie in [0, 1], got {self.quantile_q}")
+        _unit_interval("quantile_q", self.quantile_q)
         if self.sharpness_kappa <= 0.0:
             raise ConfigError(f"sharpness_kappa must be > 0, got {self.sharpness_kappa}")
         if self.delta <= 0.0:
@@ -99,11 +105,9 @@ class MergeTrace:
 
 
 def _effective_rank(s: np.ndarray, rank_eps: float) -> int:
-    """Count of singular values strictly above rank_eps * sigma_1; 0 when
-    the spectrum is empty or all zero."""
-    if s.size and s[0] > 0.0:
-        return int(np.count_nonzero(s > rank_eps * s[0]))
-    return 0
+    """Count of singular values strictly above rank_eps * sigma_1, for a
+    non-empty, non-increasing, non-negative s; 0 when s is all zero."""
+    return int(np.count_nonzero(s > rank_eps * s[0]))
 
 
 def thin_svd(w: np.ndarray,
@@ -158,8 +162,6 @@ def info_weights(base_meta: TaskMeta, align_meta: TaskMeta,
     else:
         phi_b, phi_a = np.linalg.norm(base_w) ** 2, np.linalg.norm(align_w) ** 2
     if phi_b == 0.0 and phi_a == 0.0:
-        warnings.warn("both information proxies are zero; falling back to 0.5/0.5",
-                      RuntimeWarning, stacklevel=2)
         return 0.5, 0.5
     w_a = phi_a / (phi_a + phi_b)
     return 1.0 - w_a, w_a
@@ -222,11 +224,13 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
                 cfg: MergeConfig, gate: GateVector | None = None) -> np.ndarray:
     """Merge one layer pair of matrices with base/align roles fixed.
 
-    One thin SVD of base_w (DegenerateBaseError if no direction is above
-    noise); V_aligned[:, i] = align_w.T @ U[:, i] / sigma_i within the
-    effective rank; V_fused = w_b * V + w_a * V_aligned; the result is
-    U @ diag(sigma) @ V_final.T where column i of V_final is
-    V[:, i] + g_i * (V_fused[:, i] - V[:, i]).
+    One thin SVD of base_w; V_aligned[:, i] = align_w.T @ U[:, i] / sigma_i
+    within the effective rank and 0 past it, so noise-level directions
+    never amplify align_w; V_fused = w_b * V + w_a * V_aligned; the result
+    is U @ diag(sigma) @ V_final.T where column i of V_final is
+    V[:, i] + g_i * (V_fused[:, i] - V[:, i]). An all-zero base has rank 0,
+    so nothing of align_w passes and the zero base comes back (average and
+    symmetric keep part of align_w there). w_b and w_a lie in [0, 1].
 
     Args:
         gate: optional override of the spectrum-derived gate, used to probe
@@ -234,6 +238,7 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
     """
     base_w = as_matrix(base_w, "base_w")
     align_w = as_matrix(align_w, "align_w")
+    w_b, w_a = _unit_interval("w_b", w_b), _unit_interval("w_a", w_a)
     if base_w.shape != align_w.shape:
         raise ShapeError(f"layer shape mismatch: {base_w.shape} vs {align_w.shape}")
     if gate is not None and gate.g.size != min(base_w.shape):
@@ -247,10 +252,6 @@ def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     size; returns the merged layer and the base's effective rank."""
     dec = thin_svd(base_w, rank_eps=cfg.rank_eps)
     k = dec.effective_rank
-    if k < 1:
-        raise DegenerateBaseError("base matrix has no singular direction above noise")
-    # directions past the effective rank stay zero, so noise-level base
-    # directions never amplify align_w
     v_aligned = np.zeros_like(dec.V)
     v_aligned[:, :k] = (align_w.T @ dec.U[:, :k]) / dec.sigma[:k]
     v_fused = w_b * dec.V + w_a * v_aligned
@@ -315,6 +316,7 @@ def merge_symmetric(new: AdapterModule, accumulated: AdapterModule,
     right factor splits row-wise into the two task blocks, which are
     averaged as w_b * block_acc + w_a * block_new before reconstruction.
     """
+    w_b, w_a = _unit_interval("w_b", w_b), _unit_interval("w_a", w_a)
     if not mergeable(new, accumulated):
         raise ShapeError("modules are not mergeable: layer shapes differ")
     layers = []

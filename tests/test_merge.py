@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from onea import (ConfigError, DegenerateBaseError, GateVector, InfoProxy,
-                  MergeConfig, NumericError, ShapeError, TaskMeta,
+from onea import (ConfigError, GateVector, InfoProxy, MergeConfig,
+                  NumericError, ShapeError, TaskMeta,
                   gate_vector, info_weights, merge_average, merge_layer,
                   merge_modules, merge_symmetric, select_roles, thin_svd)
 from onea.counters import SVD_CALLS
@@ -161,8 +161,8 @@ def test_info_weights_frobenius_and_energy():
 def test_info_weights_zero_proxies_fall_back():
     cfg = MergeConfig(info_proxy=InfoProxy.FROBENIUS_NORM)
     zero = np.zeros((2, 2))
-    with pytest.warns(RuntimeWarning):
-        assert info_weights(_meta(), _meta(), zero, zero, cfg) == (0.5, 0.5)
+    # silently: the suite turns any warning into an error
+    assert info_weights(_meta(), _meta(), zero, zero, cfg) == (0.5, 0.5)
 
 
 def test_info_weights_are_convex():
@@ -326,15 +326,32 @@ def test_merge_layer_zeroes_noise_directions():
     assert np.allclose(out - u0 @ (u0.T @ out), 0.0, atol=1e-12)
 
 
+def _reference_inputs(rng):
+    """(base, align, gate or None): full-rank 6x6 bases, all-zero bases of
+    several shapes with and without a gate override, and rank-deficient
+    bases (rank 1 to min(shape) - 1)."""
+    for _ in range(10):
+        yield rng.normal(size=(6, 6)), rng.normal(size=(6, 6)), None
+    for shape in ((3, 3), (4, 2), (2, 5), (1, 1), (6, 1)):
+        w_a = rng.normal(size=shape)
+        yield np.zeros(shape), w_a, None
+        yield np.zeros(shape), w_a, rng.uniform(0.0, 1.0, size=min(shape))
+    for shape in ((6, 6), (5, 3), (3, 7)):
+        for rank in range(1, min(shape)):
+            base = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+            yield base, rng.normal(size=shape), None
+
+
 def test_merge_layer_matches_reference():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        w_b = rng.normal(size=(6, 6))
-        w_a = rng.normal(size=(6, 6))
+    for w_b, w_a, gate in _reference_inputs(rng):
         w_align = rng.uniform(0.1, 0.9)
-        got = merge_layer(w_b, w_a, 1.0 - w_align, w_align, CFG)
-        want = reference_merge_layer(w_b, w_a, 1.0 - w_align, w_align)
+        got = merge_layer(w_b, w_a, 1.0 - w_align, w_align, CFG,
+                          gate=None if gate is None else GateVector(g=gate))
+        want = reference_merge_layer(w_b, w_a, 1.0 - w_align, w_align, gate=gate)
         assert np.linalg.norm(got - want) <= 1e-10
+        if not w_b.any():    # rank 0: nothing of the align update passes
+            assert np.array_equal(got, np.zeros_like(w_b))
 
 
 def test_merge_layer_guards():
@@ -342,11 +359,22 @@ def test_merge_layer_guards():
         merge_layer(np.eye(3), np.eye(2), 0.5, 0.5, CFG)
     with pytest.raises(ShapeError):
         merge_layer(np.eye(3), np.ones((4, 3)), 0.5, 0.5, CFG)
-    with pytest.raises(DegenerateBaseError):
-        merge_layer(np.zeros((3, 3)), np.ones((3, 3)), 0.5, 0.5, CFG)
     with pytest.raises(ShapeError):
         merge_layer(np.eye(3), np.eye(3), 0.5, 0.5, CFG,
                     gate=GateVector(g=np.array([0.5])))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", True,
+                                 3.0, -2.0])
+@pytest.mark.parametrize("slot", ["w_b", "w_a"])
+def test_merge_weights_must_be_finite_and_in_unit_interval(slot, bad):
+    weights = {"w_b": 0.5, "w_a": 0.5, slot: bad}
+    acc = make_module([np.eye(3)], task_id=1)
+    new = make_module([np.eye(3)], task_id=2)
+    with pytest.raises(ConfigError, match=slot):
+        merge_layer(np.eye(3), np.eye(3), cfg=CFG, **weights)
+    with pytest.raises(ConfigError, match=slot):
+        merge_symmetric(new, acc, cfg=CFG, **weights)
 
 
 def test_gated_merge_never_exceeds_full_fusion_distance():

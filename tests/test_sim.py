@@ -820,6 +820,21 @@ def test_run_strategies_rejects_empty_and_unknown():
         run_strategies(_tiny_stream(), [Strategy.ONE_A, "average"], QUICK)
 
 
+def test_zero_updates_fold_like_any_other():
+    # one class per task at batch size 1: no batch holds a contrastive
+    # pair, so every w_up keeps its zero init, each one-a merge meets an
+    # all-zero base, and one-a's folded w_up stays zero too
+    stream = build_stream(StreamSpec(total_classes=4, num_tasks=4,
+                                     order=TaskOrder.BALANCED))
+    results = run_strategies(stream, list(Strategy), TrainConfig(batch_size=1))
+    for _, adapters in results:
+        assert all(not module.layers[1].any() for module in adapters)
+    reports = [report for report, _ in results]
+    for report in reports[1:]:
+        assert report.step_acc == reports[0].step_acc
+        assert report.acc_matrix == reports[0].acc_matrix
+
+
 def test_fold_first_task_and_non_merge_strategies():
     rng = np.random.default_rng(3)
     new = make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))])

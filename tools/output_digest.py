@@ -1,16 +1,19 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on nine configs x stream/train seeds {0, 3}, six with all
+Runs `onea run` on ten configs x stream/train seeds {0, 3}, seven with all
 five strategies and three with a single one (single-finetune alone trains
 only the continuation past the first task, per-task alone only fresh
 adapters; per-task-one-row has one test row per task, so every test block
-is scored through the single-row product path), then `onea merge` for the
-three fold strategies on adapters from those runs, and for one-a at
---quantile-q 0 and 1, where the gate threshold is the pool's smallest and
-largest score. Each case hashes its exit code, its stdout and stderr
-(output directory masked), each report's canonical_bytes() and every
-.onea file it wrote. Prints one sha256 per case and a total; two source
-trees that print the same total produce the same outputs on the matrix.
+is scored through the single-row product path; zero-updates trains no
+epoch, so every w_up stays zero and both frobenius proxies are 0), then
+`onea merge` for the three fold strategies on adapters from those runs,
+for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
+smallest and largest score, and for one-a on two zero-updates adapters,
+whose zero w_up layers merge at effective rank 0. Each case hashes its
+exit code, its stdout and stderr (output directory masked), each report's
+canonical_bytes() and every .onea file it wrote. Prints one sha256 per
+case and a total; two source trees that print the same total produce the
+same outputs on the matrix.
 
     python3 tools/output_digest.py [--src DIR]
 
@@ -41,16 +44,19 @@ CONFIGS = {
     "per-task-only": {"strategies": ["per-task"]},
     "per-task-one-row": {"classes": 12, "tasks": 12, "samples_per_class": 3,
                          "batch_size": 4, "strategies": ["per-task"]},
+    "zero-updates": {"epochs_min": 0, "epochs_max": 0, "info_proxy": "frobenius"},
 }
 SEEDS = (0, 3)
 MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
                     "--proxy", "frobenius", "--n-prev", "2"])
-# (strategy, case tag, first of two consecutive bank adapters, flags): each
-# fold strategy under each flag set, then one-a at the clipped ends of
-# numpy's linear quantile
-MERGE_CASES = ([(strategy, f"f{i}", i + 1, flags)
+# (source run, strategy, case tag, first of two consecutive per-task
+# adapters, flags): each fold strategy under each flag set, then one-a at
+# the clipped ends of numpy's linear quantile, then one-a on zero updates
+MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                 for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
-               + [("one-a", f"q{q}", 1, ["--quantile-q", q]) for q in ("0", "1")])
+               + [("default", "one-a", f"q{q}", 1, ["--quantile-q", q])
+                  for q in ("0", "1")]
+               + [("zero-updates", "one-a", "zero", 1, ["--proxy", "frobenius"])])
 
 
 def run_case(main, argv: list[str], out_dir: Path) -> bytes:
@@ -96,8 +102,8 @@ def main() -> int:
                 total.update(f"{case} {digest}\n".encode())
                 print(case, digest, flush=True)
         for seed in SEEDS:
-            src = work / f"run-default-s{seed}"
-            for strategy, tag, first, flags in MERGE_CASES:
+            for source, strategy, tag, first, flags in MERGE_CASES:
+                src = work / f"run-{source}-s{seed}"
                 case = f"merge-{strategy}-s{seed}-{tag}"
                 out_dir = work / case
                 out_dir.mkdir()
