@@ -60,14 +60,20 @@ def _coerce(key: str, value):
     return list(value)
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
 def _config_items(path: str | None, overrides: list[str] | None):
     """(key, value) pairs from the config file, then from --set flags."""
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        try:
+            loaded = json.loads(_read_text(path, "config file"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
         yield from loaded.items()
@@ -204,7 +210,7 @@ def _csv_cell(value) -> str:
 
 
 def cmd_eval(args) -> int:
-    report = RunReport.from_json(Path(args.report).read_text(encoding="utf-8"))
+    report = RunReport.from_json(_read_text(args.report, "report"))
     row = _metrics_row(report)
     keys = ["last_accuracy", "avg_accuracy", "weighted_avg_accuracy", "forgetting"]
     print(json.dumps({k: row[k] for k in keys}, sort_keys=True, indent=2))
@@ -213,8 +219,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports = [RunReport.from_json(Path(p).read_text(encoding="utf-8"))
-               for p in args.reports]
+    reports = [RunReport.from_json(_read_text(p, "report")) for p in args.reports]
     first = reports[0]
     for other in reports[1:]:
         if other.stream_seed != first.stream_seed:

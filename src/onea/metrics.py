@@ -17,8 +17,12 @@ from .errors import ConfigError, check_int
 SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
+    """One strategy's accuracy table over a run; checked on construction,
+    so the metrics below trust it. T, the number of steps, is the length
+    of step_acc and at least 1."""
+
     strategy: str
     stream_seed: int
     train_seed: int
@@ -29,6 +33,43 @@ class RunReport:
     svd_calls: int
     timings: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        if check_int("report field 'schema_version'", self.schema_version) \
+                != SCHEMA_VERSION:
+            raise ConfigError(f"report field 'schema_version' must be {SCHEMA_VERSION}, "
+                              f"got {self.schema_version}")
+        for name in ("stream_seed", "train_seed", "svd_calls"):
+            check_int(f"report field '{name}'", getattr(self, name), 0)
+        steps = self.step_acc
+        if not isinstance(steps, list) or not all(map(_is_number, steps)):
+            raise ConfigError("report field 'step_acc' must be a list of numbers")
+        t = len(steps)
+        if not t:
+            raise ConfigError("report holds no steps")
+        rows = self.acc_matrix
+        if not (isinstance(rows, list) and len(rows) == t and all(
+                isinstance(row, list) and len(row) == t
+                and all(v is None or _is_number(v) for v in row) for row in rows)):
+            raise ConfigError(f"report field 'acc_matrix' must be a {t}x{t} "
+                              "list of numbers and nulls")
+        for j, row in enumerate(rows):
+            if None in row[j:]:
+                raise ConfigError(f"report field 'acc_matrix' row {j} is incomplete")
+        counts = self.class_counts
+        if not isinstance(counts, list):
+            raise ConfigError("report field 'class_counts' must be a list of integers")
+        if len(counts) != t:
+            raise ConfigError(f"report field 'class_counts' must hold {t} entries, "
+                              f"got {len(counts)}")
+        for n in counts:
+            check_int("report field 'class_counts' entry", n, 1)
+        for name in ("config", "timings"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"report field '{name}' must be a JSON object")
+        merge_ms = self.timings.get("merge_ms", [])
+        if not isinstance(merge_ms, list) or not all(map(_is_number, merge_ms)):
+            raise ConfigError("report field 'timings.merge_ms' must be a list of numbers")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -47,7 +88,6 @@ class RunReport:
         extra = set(raw) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"report has unknown fields: {sorted(extra)}")
-        _check_read_fields(raw)
         return cls(**raw)
 
     def canonical_bytes(self) -> bytes:
@@ -65,48 +105,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_read_fields(raw: dict) -> None:
-    """Types and the T x T shape of the report fields that eval and
-    compare read; T is the length of step_acc."""
-    if check_int("report field 'schema_version'", raw["schema_version"]) \
-            != SCHEMA_VERSION:
-        raise ConfigError(f"report field 'schema_version' must be {SCHEMA_VERSION}, "
-                          f"got {raw['schema_version']}")
-    for name in ("stream_seed", "train_seed", "svd_calls"):
-        check_int(f"report field '{name}'", raw[name], 0)
-    steps = raw["step_acc"]
-    if not isinstance(steps, list) or not all(map(_is_number, steps)):
-        raise ConfigError("report field 'step_acc' must be a list of numbers")
-    t = len(steps)
-    rows = raw["acc_matrix"]
-    if not (isinstance(rows, list) and len(rows) == t and all(
-            isinstance(row, list) and len(row) == t
-            and all(v is None or _is_number(v) for v in row) for row in rows)):
-        raise ConfigError(f"report field 'acc_matrix' must be a {t}x{t} "
-                          "list of numbers and nulls")
-    counts = raw["class_counts"]
-    if not isinstance(counts, list):
-        raise ConfigError("report field 'class_counts' must be a list of integers")
-    for n in counts:
-        check_int("report field 'class_counts' entry", n)
-    for name in ("config", "timings"):
-        if not isinstance(raw[name], dict):
-            raise ConfigError(f"report field '{name}' must be a JSON object")
-    merge_ms = raw["timings"].get("merge_ms", [])
-    if not isinstance(merge_ms, list) or not all(map(_is_number, merge_ms)):
-        raise ConfigError("report field 'timings.merge_ms' must be a list of numbers")
-
-
 def last_accuracy(report: RunReport) -> float:
-    if not report.step_acc:
-        raise ConfigError("report holds no steps")
     return float(report.step_acc[-1])
 
 
 def average_accuracy(report: RunReport) -> float:
     """Unweighted mean of the per-step accuracies."""
-    if not report.step_acc:
-        raise ConfigError("report holds no steps")
     return float(np.mean(report.step_acc))
 
 
@@ -118,17 +122,10 @@ def forgetting(report: RunReport) -> float | None:
     as negative forgetting. Returns None for single-task runs, where the
     quantity is not applicable.
     """
-    t = len(report.step_acc)
-    if t < 2:
+    if len(report.step_acc) < 2:
         return None
-    drops = []
-    for j in range(t - 1):
-        row = report.acc_matrix[j]
-        past = [row[k] for k in range(j, t - 1)]
-        if any(v is None for v in past) or row[t - 1] is None:
-            raise ConfigError(f"accuracy matrix row {j} is incomplete")
-        drops.append(max(0.0, max(past) - row[t - 1]))
-    return float(np.mean(drops))
+    return float(np.mean([max(0.0, max(row[j:-1]) - row[-1])
+                          for j, row in enumerate(report.acc_matrix[:-1])]))
 
 
 def weighted_average_accuracy(report: RunReport) -> float:
@@ -138,13 +135,5 @@ def weighted_average_accuracy(report: RunReport) -> float:
     over steps. The accumulated-class weighting is this artifact's choice;
     it is echoed in every report via class_counts.
     """
-    counts = report.class_counts
-    if len(counts) != len(report.step_acc):
-        raise ConfigError(
-            f"{len(counts)} class counts for {len(report.step_acc)} steps")
-    if not counts:
-        raise ConfigError("report holds no steps")
-    if any(n < 1 for n in counts):
-        raise ConfigError("class counts must be positive")
-    weights = np.cumsum(np.asarray(counts, dtype=np.float64))
+    weights = np.cumsum(np.asarray(report.class_counts, dtype=np.float64))
     return float(np.dot(weights, report.step_acc) / weights.sum())

@@ -298,23 +298,29 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
     h_all = backbone.features(data.train_x)
     total_steps = max(1, epochs * math.ceil(n / cfg.batch_size))
     step = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        h_epoch, y_epoch = h_all[order], y_local[order]
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            loss, grads = objective_grads(h_epoch[start:stop], y_epoch[start:stop],
-                                          params, lam, cfg.tau_margin)
-            if not np.isfinite(loss).all():
-                raise TrainingError(
-                    f"loss diverged on task {meta.task_id} "
-                    f"(seed={cfg.seed}, lr={cfg.lr}, batch={cfg.batch_size})")
-            lr = cfg.lr
-            if cfg.cosine_lr:
-                lr *= 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
-            for name, grad in grads.items():
-                params[name] -= lr * grad
-            step += 1
+    diverged = (f"loss diverged on task {meta.task_id} "
+                f"(seed={cfg.seed}, lr={cfg.lr}, batch={cfg.batch_size})")
+    try:
+        # any overflow or invalid value in the loop is divergence; BLAS
+        # kernels may not raise numpy's flags, so the loss is tested too
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(epochs):
+                order = rng.permutation(n)
+                h_epoch, y_epoch = h_all[order], y_local[order]
+                for start in range(0, n, cfg.batch_size):
+                    stop = start + cfg.batch_size
+                    loss, grads = objective_grads(h_epoch[start:stop], y_epoch[start:stop],
+                                                  params, lam, cfg.tau_margin)
+                    if not np.isfinite(loss).all():
+                        raise TrainingError(diverged)
+                    lr = cfg.lr
+                    if cfg.cosine_lr:
+                        lr *= 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
+                    for name, grad in grads.items():
+                        params[name] -= lr * grad
+                    step += 1
+    except FloatingPointError:
+        raise TrainingError(diverged) from None
 
     return [AdapterModule(layers=(w_down, w_up), bottleneck=b, meta=meta)
             for w_down, w_up in zip(params["w_down"], params["w_up"])]

@@ -190,17 +190,12 @@ def build_stream(spec: StreamSpec) -> TaskStream:
     n_train = _train_count(spec.samples_per_class)
     tasks = []
     for position, classes in enumerate(blocks, start=1):
-        train_x, train_y, test_x, test_y = [], [], [], []
-        for cid in classes:
-            pts = samples[cid]
-            train_x.append(pts[:n_train])
-            test_x.append(pts[n_train:])
-            train_y.append(np.full(n_train, cid, dtype=np.int64))
-            test_y.append(np.full(spec.samples_per_class - n_train, cid, dtype=np.int64))
-        data = SyntheticDataset(train_x=np.concatenate(train_x),
-                                train_y=np.concatenate(train_y),
-                                test_x=np.concatenate(test_x),
-                                test_y=np.concatenate(test_y))
+        pts = samples[classes]
+        data = SyntheticDataset(
+            train_x=pts[:, :n_train].reshape(-1, FEATURE_DIM),
+            train_y=np.repeat(classes, n_train),
+            test_x=pts[:, n_train:].reshape(-1, FEATURE_DIM),
+            test_y=np.repeat(classes, spec.samples_per_class - n_train))
         meta = TaskMeta(task_id=position,
                         class_ids=frozenset(classes),
                         sample_count=len(classes) * n_train)

@@ -256,6 +256,28 @@ def test_run_rejects_bad_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 
 
+def test_run_divergence_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--set", "lr=1e300", "--set", "classes=6", "--set", "tasks=2",
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: loss diverged") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "compare"])
+def test_non_utf8_file_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "runs"
+    argv = {"run": ["run", "--config", str(bad), "--out-dir", str(out)],
+            "eval": ["eval", str(bad)],
+            "compare": ["compare", str(bad), str(bad)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- merge
 
 def test_merge_one_a_roundtrip(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Report container and the accuracy-table metrics."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -55,6 +55,38 @@ def test_report_rejects_non_object_and_bad_json():
         RunReport.from_json("{not json")
 
 
+# field overrides that break one rule each, and the message they raise
+_MALFORMED = {
+    "no-steps": ({"class_counts": [], "step_acc": [], "acc_matrix": []}, "no steps"),
+    "row-1-gap": ({"acc_matrix": [[1.0, 0.75, 0.5], [None, None, 0.75],
+                                  [None, None, 1.0]]}, "row 1 is incomplete"),
+    "last-diagonal-null": ({"acc_matrix": [[1.0, 0.75, 0.5], [None, 0.75, 0.75],
+                                           [None, None, None]]}, "row 2 is incomplete"),
+    "matrix-2x2": ({"acc_matrix": [[1.0, 0.75], [None, 0.75]]}, "3x3"),
+    "two-counts": ({"class_counts": [2, 1]}, "must hold 3 entries, got 2"),
+    "zero-count": ({"class_counts": [2, 0, 2]}, "entry must be >= 1"),
+    "float-count": ({"class_counts": [2, 1.0, 2]}, "entry must be an integer"),
+    "counts-tuple": ({"class_counts": (2, 1, 2)}, "'class_counts' must be a list"),
+    "bool-step": ({"step_acc": [1.0, True, 0.5]}, "'step_acc' must be a list"),
+    "negative-svd-calls": ({"svd_calls": -1}, "'svd_calls' must be >= 0"),
+    "schema-2": ({"schema_version": 2}, "'schema_version' must be 1"),
+    "config-list": ({"config": []}, "'config' must be a JSON object"),
+    "merge_ms-string": ({"timings": {"merge_ms": "fast"}}, "'timings.merge_ms'"),
+}
+
+
+@pytest.mark.parametrize("fields, match", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_report_checks_fields_on_construction(fields, match):
+    with pytest.raises(ConfigError, match=match):
+        _report(**fields)
+
+
+def test_report_is_frozen():
+    report = _report()
+    with pytest.raises(FrozenInstanceError):
+        report.step_acc = [0.0, 0.0, 0.0]
+
+
 def test_canonical_bytes_ignore_timings():
     a = _report(timings={"merge_ms": [0.1], "total_s": 9.9})
     b = _report(timings={"merge_ms": [7.7], "total_s": 0.0})
@@ -96,11 +128,10 @@ def test_forgetting_single_task_is_undefined():
 
 
 def test_forgetting_rejects_incomplete_matrix():
-    report = _report(acc_matrix=[[1.0, None, 0.5],
-                                 [None, 0.75, 0.75],
-                                 [None, None, 1.0]])
-    with pytest.raises(ConfigError):
-        forgetting(report)
+    with pytest.raises(ConfigError, match="row 0 is incomplete"):
+        _report(acc_matrix=[[1.0, None, 0.5],
+                            [None, 0.75, 0.75],
+                            [None, None, 1.0]])
 
 
 def test_weighted_average_accuracy_hand_value():
@@ -119,13 +150,8 @@ def test_weighted_average_accuracy_override_counts():
 
 def test_weighted_average_accuracy_guards():
     with pytest.raises(ConfigError):
-        weighted_average_accuracy(replace(_report(), class_counts=[1, 2]))
+        replace(_report(), class_counts=[1, 2])
     with pytest.raises(ConfigError):
-        weighted_average_accuracy(replace(_report(), class_counts=[1, 0, 1]))
-    empty = _report(class_counts=[], step_acc=[], acc_matrix=[])
+        replace(_report(), class_counts=[1, 0, 1])
     with pytest.raises(ConfigError):
-        weighted_average_accuracy(empty)
-    with pytest.raises(ConfigError):
-        last_accuracy(empty)
-    with pytest.raises(ConfigError):
-        average_accuracy(empty)
+        _report(class_counts=[], step_acc=[], acc_matrix=[])

@@ -9,11 +9,14 @@ epoch, so every w_up stays zero and both frobenius proxies are 0), then
 `onea merge` for the three fold strategies on adapters from those runs,
 for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
 smallest and largest score, and for one-a on two zero-updates adapters,
-whose zero w_up layers merge at effective rank 0. Each case hashes its
-exit code, its stdout and stderr (output directory masked), each report's
-canonical_bytes() and every .onea file it wrote. Prints one sha256 per
-case and a total; two source trees that print the same total produce the
-same outputs on the matrix.
+whose zero w_up layers merge at effective rank 0. It then reads the
+reports back: `onea eval` on every report of every run, and `onea compare`
+over each run's reports with the merge_ms column (wall time) masked; last,
+`onea gen-stream` writes three manifests, one of them balanced. Each case
+hashes its exit code, its stdout and stderr (output directory masked),
+each report's canonical_bytes() and every .onea file it wrote. Prints one
+sha256 per case and a total; two source trees that print the same total
+produce the same outputs on the matrix.
 
     python3 tools/output_digest.py [--src DIR]
 
@@ -26,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -57,6 +61,23 @@ MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                + [("default", "one-a", f"q{q}", 1, ["--quantile-q", q])
                   for q in ("0", "1")]
                + [("zero-updates", "one-a", "zero", 1, ["--proxy", "frobenius"])])
+GEN_STREAM_CASES = {
+    "20x5": ["--classes", "20", "--tasks", "5"],
+    "100x10-descending": ["--classes", "100", "--tasks", "10", "--order", "descending",
+                          "--gamma", "0.05", "--samples-per-class", "23", "--seed", "3"],
+    "12x6-balanced": ["--classes", "12", "--tasks", "6", "--order", "balanced",
+                      "--gamma", "1.0", "--seed", "7"],
+}
+
+
+def call_cli(main, argv: list[str], mask: Path) -> list[bytes]:
+    """Call the CLI; return its exit code and its streams with mask's
+    path replaced."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [f"exit {code}".encode(), out.getvalue().replace(str(mask), "<out>").encode(),
+            err.getvalue().replace(str(mask), "<out>").encode()]
 
 
 def run_case(main, argv: list[str], out_dir: Path) -> bytes:
@@ -64,12 +85,7 @@ def run_case(main, argv: list[str], out_dir: Path) -> bytes:
     canonical report bytes and .onea files in name order."""
     from onea.metrics import RunReport
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    mask = str(out_dir)
-    parts = [f"exit {code}".encode(), out.getvalue().replace(mask, "<out>").encode(),
-             err.getvalue().replace(mask, "<out>").encode()]
+    parts = call_cli(main, argv, out_dir)
     for path in sorted(out_dir.iterdir()):
         if path.suffix == ".json":
             report = RunReport.from_json(path.read_text(encoding="utf-8"))
@@ -87,6 +103,12 @@ def main() -> int:
     import onea.cli
 
     total = hashlib.sha256()
+
+    def record(case: str, data: bytes) -> None:
+        digest = hashlib.sha256(data).hexdigest()
+        total.update(f"{case} {digest}\n".encode())
+        print(case, digest, flush=True)
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, config in CONFIGS.items():
@@ -98,9 +120,7 @@ def main() -> int:
                         "--set", f"stream_seed={seed}", "--set", f"train_seed={seed}"]
                 for key, value in config.items():
                     argv += ["--set", f"{key}={json.dumps(value)}"]
-                digest = hashlib.sha256(run_case(onea.cli.main, argv, out_dir)).hexdigest()
-                total.update(f"{case} {digest}\n".encode())
-                print(case, digest, flush=True)
+                record(case, run_case(onea.cli.main, argv, out_dir))
         for seed in SEEDS:
             for source, strategy, tag, first, flags in MERGE_CASES:
                 src = work / f"run-{source}-s{seed}"
@@ -111,9 +131,21 @@ def main() -> int:
                         str(src / f"adapter-per-task-t{first + 1}.onea"),
                         "--strategy", strategy, "--out", str(out_dir / "merged.onea"),
                         *flags]
-                digest = hashlib.sha256(run_case(onea.cli.main, argv, out_dir)).hexdigest()
-                total.update(f"{case} {digest}\n".encode())
-                print(case, digest, flush=True)
+                record(case, run_case(onea.cli.main, argv, out_dir))
+        for name in CONFIGS:
+            for seed in SEEDS:
+                src = work / f"run-{name}-s{seed}"
+                reports = [str(path) for path in sorted(src.glob("report-*.json"))]
+                record(f"eval-{name}-s{seed}", b"\0".join(
+                    part for path in reports
+                    for part in call_cli(onea.cli.main, ["eval", path], src)))
+                code, out, err = call_cli(onea.cli.main, ["compare", *reports], src)
+                # the last column, merge_ms, is wall time
+                out = re.sub(rb",[^,\n]*$", b",<ms>", out, flags=re.M)
+                record(f"compare-{name}-s{seed}", b"\0".join([code, out, err]))
+        for name, flags in GEN_STREAM_CASES.items():
+            record(f"gen-stream-{name}",
+                   b"\0".join(call_cli(onea.cli.main, ["gen-stream", *flags], work)))
     print("total", total.hexdigest())
     return 0
 
