@@ -233,12 +233,16 @@ def cmd_compare(args) -> int:
               "weighted_avg_accuracy", "forgetting", "svd_calls", "merge_ms"]
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row[k]) for k in header) for row in rows]
-    print("\n".join(lines))
-    if args.out_json:
-        _dump_json({"schema_version": 1, "stream_seed": first.stream_seed,
-                    "rows": rows}, args.out_json)
+    payload = {"schema_version": 1, "stream_seed": first.stream_seed, "rows": rows}
+    # files are written first, so an unwritable one prints nothing; a
+    # --out-json of - still prints the JSON after the table
+    if args.out_json not in (None, "-"):
+        _dump_json(payload, args.out_json)
     if args.out_csv:
         Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print("\n".join(lines))
+    if args.out_json == "-":
+        _dump_json(payload, "-")
     return 0
 
 

@@ -5,7 +5,7 @@ other update in the base's left singular frame, blending the right factors
 under information weights, and gating each singular direction so dominant
 directions stay close to the base; a MergeTrace records what it decided.
 Two baselines live here as well: a running average and a symmetric
-concat-then-SVD merge.
+concat-then-SVD merge, which works out to a linear blend of the two.
 """
 
 from __future__ import annotations
@@ -110,6 +110,20 @@ def _effective_rank(s: np.ndarray, rank_eps: float) -> int:
     return int(np.count_nonzero(s > rank_eps * s[0]))
 
 
+def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, sigma, V) of a checked matrix, counted in SVD_CALLS,
+    with LAPACK's column signs. Merges use it directly: each merged layer
+    is a product U @ diag(sigma) @ (...).T in which a column's sign
+    appears twice, and flipping a sign is exact, so the signs never reach
+    a merged byte."""
+    try:
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD did not converge: {exc}") from exc
+    SVD_CALLS.bump()
+    return u, s, vt.T
+
+
 def thin_svd(w: np.ndarray,
              rank_eps: float = MergeConfig.rank_eps) -> SingularDecomposition:
     """Thin SVD with deterministic signs.
@@ -119,13 +133,7 @@ def thin_svd(w: np.ndarray,
     sign choice. effective_rank counts singular values strictly above
     rank_eps * sigma_1.
     """
-    w = as_matrix(w, "w")
-    try:
-        u, s, vt = np.linalg.svd(w, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD did not converge: {exc}") from exc
-    SVD_CALLS.bump()
-    v = vt.T
+    u, s, v = _svd(as_matrix(w, "w"))
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0.0] = 1.0
@@ -194,6 +202,15 @@ def _linear_quantile(desc: np.ndarray, q: float) -> float:
     return a + (b - a) * gamma
 
 
+def _gate(sigma: np.ndarray, cfg: MergeConfig, eff: int) -> np.ndarray:
+    """The gate law of gate_vector for a checked spectrum whose effective
+    rank is eff; every entry is finite and in [0, 1]."""
+    scores = sigma / (sigma[0] + cfg.delta)
+    pool = scores[:eff] if eff >= 1 else scores
+    theta = _linear_quantile(pool, cfg.quantile_q)
+    return _logistic(cfg.sharpness_kappa * (theta - scores))
+
+
 def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
     """Per-direction gates from the normalized spectrum.
 
@@ -212,12 +229,7 @@ def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
         raise NumericError("sigma must be finite and non-negative")
     if (s[1:] > s[:-1]).any():
         raise NumericError("sigma must be non-increasing, as thin_svd returns it")
-    scores = s / (s[0] + cfg.delta)
-    eff = _effective_rank(s, cfg.rank_eps)
-    pool = scores[:eff] if eff >= 1 else scores
-    theta = _linear_quantile(pool, cfg.quantile_q)
-    g = _logistic(cfg.sharpness_kappa * (theta - scores))
-    return GateVector(g=g)
+    return GateVector(g=_gate(s, cfg, _effective_rank(s, cfg.rank_eps)))
 
 
 def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
@@ -250,15 +262,14 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
 def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     """merge_layer on checked, same-shape operands and a gate of the right
     size; returns the merged layer and the base's effective rank."""
-    dec = thin_svd(base_w, rank_eps=cfg.rank_eps)
-    k = dec.effective_rank
-    v_aligned = np.zeros_like(dec.V)
-    v_aligned[:, :k] = (align_w.T @ dec.U[:, :k]) / dec.sigma[:k]
-    v_fused = w_b * dec.V + w_a * v_aligned
-    if gate is None:
-        gate = gate_vector(dec.sigma, cfg)
-    v_final = dec.V + (v_fused - dec.V) * gate.g[None, :]
-    return (dec.U * dec.sigma) @ v_final.T, k
+    u, s, v = _svd(base_w)
+    k = _effective_rank(s, cfg.rank_eps)
+    v_aligned = np.zeros_like(v)
+    v_aligned[:, :k] = (align_w.T @ u[:, :k]) / s[:k]
+    v_fused = w_b * v + w_a * v_aligned
+    g = _gate(s, cfg, k) if gate is None else gate.g
+    v_final = v + (v_fused - v) * g[None, :]
+    return (u * s) @ v_final.T, k
 
 
 def _merged_module(new: AdapterModule, accumulated: AdapterModule,
@@ -315,6 +326,9 @@ def merge_symmetric(new: AdapterModule, accumulated: AdapterModule,
     Per layer, X = [accumulated | new] is decomposed by one thin SVD; the
     right factor splits row-wise into the two task blocks, which are
     averaged as w_b * block_acc + w_a * block_new before reconstruction.
+    The thin SVD reconstructs both blocks, so the result equals the linear
+    blend w_b * accumulated + w_a * new up to rounding; no knob of cfg
+    changes it.
     """
     w_b, w_a = _unit_interval("w_b", w_b), _unit_interval("w_a", w_a)
     if not mergeable(new, accumulated):
@@ -322,7 +336,7 @@ def merge_symmetric(new: AdapterModule, accumulated: AdapterModule,
     layers = []
     for cur, acc in zip(new.layers, accumulated.layers):
         d_in = acc.shape[1]
-        dec = thin_svd(np.concatenate([acc, cur], axis=1), rank_eps=cfg.rank_eps)
-        v_merged = w_b * dec.V[:d_in] + w_a * dec.V[d_in:]
-        layers.append((dec.U * dec.sigma) @ v_merged.T)
+        u, s, v = _svd(np.concatenate([acc, cur], axis=1))
+        v_merged = w_b * v[:d_in] + w_a * v[d_in:]
+        layers.append((u * s) @ v_merged.T)
     return _merged_module(new, accumulated, layers)

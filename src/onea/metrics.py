@@ -8,6 +8,7 @@ k >= j. step_acc[k] is the accuracy over all test data seen through k.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -56,6 +57,11 @@ class RunReport:
         for j, row in enumerate(rows):
             if None in row[j:]:
                 raise ConfigError(f"report field 'acc_matrix' row {j} is incomplete")
+        # NaN fails both comparisons, so this also rejects non-finite numbers
+        if not all(0.0 <= v <= 1.0 for v in steps) or not all(
+                0.0 <= v <= 1.0 for row in rows for v in row if v is not None):
+            raise ConfigError("report accuracies in 'step_acc' and 'acc_matrix' "
+                              "must be finite and lie in [0, 1]")
         counts = self.class_counts
         if not isinstance(counts, list):
             raise ConfigError("report field 'class_counts' must be a list of integers")
@@ -70,6 +76,9 @@ class RunReport:
         merge_ms = self.timings.get("merge_ms", [])
         if not isinstance(merge_ms, list) or not all(map(_is_number, merge_ms)):
             raise ConfigError("report field 'timings.merge_ms' must be a list of numbers")
+        if not all(0.0 <= v < math.inf for v in merge_ms):
+            raise ConfigError("report field 'timings.merge_ms' entries must be "
+                              "finite and >= 0")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)

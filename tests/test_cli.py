@@ -470,6 +470,10 @@ _MALFORMED = {
     "train_seed-string": {"train_seed": "x"},
     "svd_calls-bool": {"svd_calls": True},
     "svd_calls-negative": {"svd_calls": -1},
+    "step_acc-infinity": {"step_acc": [0.5, float("inf")]},
+    "step_acc-above-1": {"step_acc": [0.5, 7.5]},
+    "acc_matrix-nan": {"acc_matrix": [[float("nan"), 0.4], [None, 0.6]]},
+    "timings-merge_ms-nan": {"timings": {"merge_ms": [0.0, float("nan")], "total_s": 1.0}},
 }
 
 
@@ -520,6 +524,22 @@ def test_compare_table_and_outputs(tmp_path, capsys):
     payload = json.loads(json_path.read_text())
     assert payload["schema_version"] == 1
     assert len(payload["rows"]) == 2
+    assert main(["compare", str(out / "report-one-a.json"),
+                 str(out / "report-average.json"), "--out-json", "-"]) == 0
+    table, dumped = capsys.readouterr().out.split("\n{", 1)
+    assert table.splitlines() == lines
+    assert json.loads("{" + dumped) == payload
+
+
+@pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+def test_compare_unwritable_output_prints_nothing(flag, tmp_path, capsys):
+    out = _run_one(tmp_path)
+    capsys.readouterr()
+    assert main(["compare", str(out / "report-one-a.json"),
+                 flag, str(tmp_path / "absent" / "table")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_compare_rejects_mismatched_streams(tmp_path, capsys):

@@ -508,3 +508,83 @@ def test_merge_symmetric_guards():
     a = make_module([np.eye(2)])
     with pytest.raises(ShapeError):
         merge_symmetric(a, make_module([np.eye(3)], task_id=2), 0.5, 0.5, CFG)
+
+
+def test_merge_symmetric_is_the_linear_blend():
+    # the thin SVD of [acc | new] reconstructs both blocks, so the
+    # factorization cancels up to rounding
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        shape = ((32, 8), (8, 32), (5, 5), (1, 1))[i % 4]
+        acc_w, new_w = (_sign_bases(rng, shape)[i % 5] for _ in range(2))
+        w_new = rng.uniform(0.0, 1.0)
+        got = merge_symmetric(make_module([new_w], task_id=2),
+                              make_module([acc_w], task_id=1),
+                              1.0 - w_new, w_new, CFG).layers[0]
+        want = (1.0 - w_new) * acc_w + w_new * new_w
+        scale = np.linalg.norm(np.concatenate([acc_w, new_w], axis=1))
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+# --------------------------------------------------------- sign invariance
+
+def _sign_bases(rng, shape):
+    """Random, rank-deficient, all-zero, single-entry and all -0.0 bases."""
+    m, n = shape
+    rank = min(shape) - 1    # 0 for a (1, 1) layer: the product is all zero
+    deficient = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    single = np.zeros(shape)
+    single[rng.integers(m), rng.integers(n)] = rng.normal()
+    return [rng.normal(size=shape), deficient, np.zeros(shape), single,
+            np.full(shape, -0.0)]
+
+
+def _signed_merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
+    """merge_layer's operations on thin_svd's sign-pinned factors."""
+    dec = thin_svd(base_w, rank_eps=cfg.rank_eps)
+    k = dec.effective_rank
+    v_aligned = np.zeros_like(dec.V)
+    v_aligned[:, :k] = (align_w.T @ dec.U[:, :k]) / dec.sigma[:k]
+    v_fused = w_b * dec.V + w_a * v_aligned
+    g = gate_vector(dec.sigma, cfg).g if gate is None else gate.g
+    v_final = dec.V + (v_fused - dec.V) * g[None, :]
+    return (dec.U * dec.sigma) @ v_final.T
+
+
+def _signed_merge_symmetric(acc_w, new_w, w_b, w_a):
+    """merge_symmetric's operations on thin_svd's sign-pinned factors."""
+    dec = thin_svd(np.concatenate([acc_w, new_w], axis=1))
+    d_in = acc_w.shape[1]
+    return (dec.U * dec.sigma) @ (w_b * dec.V[:d_in] + w_a * dec.V[d_in:]).T
+
+
+@pytest.mark.parametrize("shape", [(32, 8), (8, 32), (1, 1), (5, 5)])
+def test_merges_do_not_depend_on_svd_signs(shape):
+    rng = np.random.default_rng(18)
+    bases = _sign_bases(rng, shape)
+    flipped = 0
+    for base in bases:
+        u = np.linalg.svd(base, full_matrices=False)[0]
+        flipped += int(not np.array_equal(u, thin_svd(base).U))
+        for align in bases + [rng.normal(size=shape)]:
+            w_a = rng.uniform(0.0, 1.0)
+            gate = GateVector(g=rng.uniform(0.0, 1.0, size=min(shape)))
+            for g in (None, gate):
+                got = merge_layer(base, align, 1.0 - w_a, w_a, CFG, gate=g)
+                want = _signed_merge_layer(base, align, 1.0 - w_a, w_a, CFG, g)
+                assert got.tobytes() == want.tobytes()
+            got = merge_symmetric(make_module([align], task_id=2),
+                                  make_module([base], task_id=1),
+                                  1.0 - w_a, w_a, CFG).layers[0]
+            want = _signed_merge_symmetric(base, align, 1.0 - w_a, w_a)
+            assert got.tobytes() == want.tobytes()
+            new = make_module([base, align.T], task_id=2, sample_count=30)
+            acc = make_module([align, base.T], task_id=1, sample_count=20)
+            cfg = MergeConfig(info_proxy=InfoProxy.FROBENIUS_NORM)
+            for got, new_w, acc_w in zip(merge_modules(new, acc, cfg).layers,
+                                         new.layers, acc.layers):
+                w_b, w_a = info_weights(new.meta, acc.meta, new_w, acc_w, cfg)
+                want = _signed_merge_layer(new_w, acc_w, w_b, w_a, cfg)
+                assert got.tobytes() == want.tobytes()
+    # the test means something only if thin_svd flipped some LAPACK sign
+    assert flipped

@@ -1,6 +1,7 @@
 """Report container and the accuracy-table metrics."""
 
 import json
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -72,6 +73,19 @@ _MALFORMED = {
     "schema-2": ({"schema_version": 2}, "'schema_version' must be 1"),
     "config-list": ({"config": []}, "'config' must be a JSON object"),
     "merge_ms-string": ({"timings": {"merge_ms": "fast"}}, "'timings.merge_ms'"),
+    "step-inf": ({"step_acc": [1.0, 0.75, math.inf]}, "finite and lie in"),
+    "step-nan": ({"step_acc": [math.nan, 0.75, 0.625]}, "finite and lie in"),
+    "step-above-1": ({"step_acc": [1.0, 7.5, 0.625]}, "finite and lie in"),
+    "step-negative": ({"step_acc": [1.0, 0.75, -0.125]}, "finite and lie in"),
+    "matrix-nan": ({"acc_matrix": [[math.nan, 0.75, 0.5], [None, 0.75, 0.75],
+                                   [None, None, 1.0]]}, "finite and lie in"),
+    "matrix-above-1": ({"acc_matrix": [[1.0, 0.75, 0.5], [None, 0.75, 0.75],
+                                       [None, None, 2]]}, "finite and lie in"),
+    "matrix-neg-inf": ({"acc_matrix": [[1.0, -math.inf, 0.5], [None, 0.75, 0.75],
+                                       [None, None, 1.0]]}, "finite and lie in"),
+    "merge_ms-nan": ({"timings": {"merge_ms": [0.1, math.nan]}}, "finite and >= 0"),
+    "merge_ms-inf": ({"timings": {"merge_ms": [math.inf]}}, "finite and >= 0"),
+    "merge_ms-negative": ({"timings": {"merge_ms": [0.1, -0.5]}}, "finite and >= 0"),
 }
 
 
