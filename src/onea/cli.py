@@ -135,9 +135,7 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_gen_stream(args) -> int:
-    spec = StreamSpec(total_classes=args.classes, num_tasks=args.tasks,
-                      gamma=args.gamma, order=TaskOrder(args.order),
-                      samples_per_class=args.samples_per_class, seed=args.seed)
+    spec = _build_objects({**RUN_DEFAULTS, **vars(args)})[0]
     _dump_json(build_stream(spec).manifest(), args.out)
     return 0
 
@@ -168,9 +166,7 @@ def cmd_run(args) -> int:
 def cmd_merge(args) -> int:
     accumulated = load_module(args.accumulated)
     new = load_module(args.new)
-    merge_cfg = MergeConfig(quantile_q=args.quantile_q, sharpness_kappa=args.kappa,
-                            delta=args.delta, rank_eps=args.rank_eps,
-                            info_proxy=InfoProxy(args.proxy))
+    merge_cfg = _build_objects({**RUN_DEFAULTS, **vars(args)})[2]
     strategy = Strategy(args.strategy)
     merged, trace = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
     save_module(merged, args.out)  # an unwritable --out prints nothing
@@ -261,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[o.value for o in TaskOrder])
     gen.add_argument("--samples-per-class", type=int,
                      default=StreamSpec.samples_per_class)
-    gen.add_argument("--seed", type=int, default=StreamSpec.seed)
+    gen.add_argument("--seed", dest="stream_seed", metavar="SEED", type=int,
+                     default=StreamSpec.seed)
     gen.add_argument("--out", default=None, help="output file (default stdout)")
     gen.set_defaults(func=cmd_gen_stream)
 
@@ -282,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--kappa", type=float, default=MergeConfig.sharpness_kappa)
     merge.add_argument("--delta", type=float, default=MergeConfig.delta)
     merge.add_argument("--rank-eps", type=float, default=MergeConfig.rank_eps)
-    merge.add_argument("--proxy", default=MergeConfig.info_proxy.value,
+    merge.add_argument("--proxy", dest="info_proxy",
+                       default=MergeConfig.info_proxy.value,
                        choices=[p.value for p in InfoProxy])
     merge.add_argument("--n-prev", type=int, default=1,
                        help="tasks already absorbed (average strategy)")

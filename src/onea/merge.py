@@ -70,7 +70,7 @@ class MergeConfig:
 
 @dataclass(frozen=True)
 class SingularDecomposition:
-    """Thin SVD W = U @ diag(sigma) @ V.T with a fixed sign convention."""
+    """Thin SVD W = U @ diag(sigma) @ V.T."""
 
     U: np.ndarray
     sigma: np.ndarray
@@ -126,19 +126,11 @@ def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def thin_svd(w: np.ndarray,
              rank_eps: float = MergeConfig.rank_eps) -> SingularDecomposition:
-    """Thin SVD with deterministic signs.
+    """Thin SVD of w with LAPACK's factors and signs, made read-only.
 
-    Each U column is flipped so its largest-magnitude entry is positive
-    (the paired V column flips with it), which pins an otherwise arbitrary
-    sign choice. effective_rank counts singular values strictly above
-    rank_eps * sigma_1.
+    effective_rank counts singular values strictly above rank_eps * sigma_1.
     """
     u, s, v = _svd(as_matrix(w, "w"))
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
-    u = u * signs
-    v = v * signs
     for arr in (u, s, v):
         arr.flags.writeable = False
     return SingularDecomposition(U=u, sigma=s, V=v,

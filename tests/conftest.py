@@ -2,10 +2,11 @@
 independently written reference implementations of the merge math.
 
 The reference_* functions re-derive the merges as straight-line numpy
-with explicit loops. They deliberately share nothing with onea.merge
-beyond the documented sign convention (largest-magnitude entry of each
-left singular vector made positive), so the production code can be
-checked against a second route through the same algebra.
+with explicit loops. They deliberately share nothing with onea.merge,
+so the production code can be checked against a second route through
+the same algebra. The references pin their own sign convention
+(largest-magnitude entry of each left singular vector made positive);
+onea keeps LAPACK's signs, so the two routes also differ in signs.
 """
 
 from __future__ import annotations

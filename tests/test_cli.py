@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,3 +560,37 @@ def test_compare_rejects_mismatched_streams(tmp_path, capsys):
     assert main(["compare", str(out / "report-one-a.json"),
                  str(other_shape)]) == 2
     assert "stream" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------- README
+
+def _readme_walkthrough():
+    """(argv, shown stdout lines) of each `$ onea ...` command in the
+    README's code blocks, with backslash continuations joined."""
+    steps, command = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            command = None
+        elif command is not None and command[-1].endswith("\\"):
+            command.append(line)
+        elif line.startswith("$ onea "):
+            command = [line.removeprefix("$ onea ")]
+            steps.append((command, []))
+        elif command is not None:
+            steps[-1][1].append(line)
+    return [(shlex.split(" ".join(c.rstrip("\\") for c in parts)), shown)
+            for parts, shown in steps]
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    steps = _readme_walkthrough()
+    assert [argv[0] for argv, _ in steps] == ["gen-stream", "run", "eval",
+                                              "compare", "merge"]
+    for argv, shown in steps:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out.rstrip("\n").splitlines()
+        # "..." marks an abridged printout; compare's last column is wall time
+        if argv[0] != "compare" and not any("..." in line for line in shown):
+            assert out == [line for line in shown if line], argv

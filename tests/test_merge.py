@@ -72,13 +72,15 @@ def test_thin_svd_reconstructs_and_matches_eig_oracle():
         assert np.allclose(dec.sigma, oracle[:k], atol=1e-8)
 
 
-def test_thin_svd_sign_convention():
+def test_thin_svd_returns_lapack_factors():
     rng = np.random.default_rng(1)
-    for _ in range(25):
-        dec = thin_svd(rng.normal(size=(6, 4)))
-        for j in range(dec.U.shape[1]):
-            col = dec.U[:, j]
-            assert col[int(np.argmax(np.abs(col)))] > 0.0
+    for shape in ((6, 4), (4, 6), (1, 1), (5, 5)):
+        w = rng.normal(size=shape)
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        dec = thin_svd(w)
+        assert np.array_equal(dec.U, u)
+        assert np.array_equal(dec.sigma, s)
+        assert np.array_equal(dec.V, vt.T)
 
 
 def test_thin_svd_factors_are_read_only():
@@ -540,22 +542,21 @@ def _sign_bases(rng, shape):
 
 
 def _signed_merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
-    """merge_layer's operations on thin_svd's sign-pinned factors."""
-    dec = thin_svd(base_w, rank_eps=cfg.rank_eps)
-    k = dec.effective_rank
-    v_aligned = np.zeros_like(dec.V)
-    v_aligned[:, :k] = (align_w.T @ dec.U[:, :k]) / dec.sigma[:k]
-    v_fused = w_b * dec.V + w_a * v_aligned
-    g = gate_vector(dec.sigma, cfg).g if gate is None else gate.g
-    v_final = dec.V + (v_fused - dec.V) * g[None, :]
-    return (dec.U * dec.sigma) @ v_final.T
+    """merge_layer's operations on reference_svd's sign-pinned factors."""
+    u, s, v, k = reference_svd(base_w, cfg.rank_eps)
+    v_aligned = np.zeros_like(v)
+    v_aligned[:, :k] = (align_w.T @ u[:, :k]) / s[:k]
+    v_fused = w_b * v + w_a * v_aligned
+    g = gate_vector(s, cfg).g if gate is None else gate.g
+    v_final = v + (v_fused - v) * g[None, :]
+    return (u * s) @ v_final.T
 
 
 def _signed_merge_symmetric(acc_w, new_w, w_b, w_a):
-    """merge_symmetric's operations on thin_svd's sign-pinned factors."""
-    dec = thin_svd(np.concatenate([acc_w, new_w], axis=1))
+    """merge_symmetric's operations on reference_svd's sign-pinned factors."""
+    u, s, v, _ = reference_svd(np.concatenate([acc_w, new_w], axis=1))
     d_in = acc_w.shape[1]
-    return (dec.U * dec.sigma) @ (w_b * dec.V[:d_in] + w_a * dec.V[d_in:]).T
+    return (u * s) @ (w_b * v[:d_in] + w_a * v[d_in:]).T
 
 
 @pytest.mark.parametrize("shape", [(32, 8), (8, 32), (1, 1), (5, 5)])
@@ -565,7 +566,7 @@ def test_merges_do_not_depend_on_svd_signs(shape):
     flipped = 0
     for base in bases:
         u = np.linalg.svd(base, full_matrices=False)[0]
-        flipped += int(not np.array_equal(u, thin_svd(base).U))
+        flipped += int(not np.array_equal(u, reference_svd(base)[0]))
         for align in bases + [rng.normal(size=shape)]:
             w_a = rng.uniform(0.0, 1.0)
             gate = GateVector(g=rng.uniform(0.0, 1.0, size=min(shape)))
@@ -586,5 +587,5 @@ def test_merges_do_not_depend_on_svd_signs(shape):
                 w_b, w_a = info_weights(new.meta, acc.meta, new_w, acc_w, cfg)
                 want = _signed_merge_layer(new_w, acc_w, w_b, w_a, cfg)
                 assert got.tobytes() == want.tobytes()
-    # the test means something only if thin_svd flipped some LAPACK sign
+    # the test means something only if reference_svd flipped some LAPACK sign
     assert flipped

@@ -696,6 +696,8 @@ def test_run_strategies_matches_run_sequence_per_strategy(order):
     (list(Strategy), ["fresh", "fresh+continued", "fresh+continued"]),
     ([Strategy.SINGLE_FINETUNE], ["fresh", "continued", "continued"]),
     ([Strategy.PER_TASK, Strategy.ONE_A], ["fresh", "fresh", "fresh"]),
+    ([Strategy.SINGLE_FINETUNE, Strategy.ONE_A, Strategy.SINGLE_FINETUNE],
+     ["fresh", "fresh+continued", "fresh+continued"]),
 ])
 def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, stacks):
     calls = []
@@ -706,8 +708,14 @@ def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, st
         return train_task(task, backbone, cfg, inits, **kwargs)
 
     monkeypatch.setattr(sim, "train_task", recording)
-    run_strategies(_tiny_stream(total_classes=6, num_tasks=3), strategies, QUICK)
+    results = run_strategies(_tiny_stream(total_classes=6, num_tasks=3),
+                             strategies, QUICK)
     assert calls == stacks
+    # a strategy listed twice shares one continuation: equal bytes twice
+    first = {}
+    for strategy, (report, adapters) in zip(strategies, results):
+        got = (report.canonical_bytes(), [serialize(m) for m in adapters])
+        assert first.setdefault(strategy, got) == got, strategy
 
 
 def _rescored_per_task(tasks, adapters, banks, backbone):

@@ -8,7 +8,8 @@ is scored through the single-row product path; zero-updates trains no
 epoch, so every w_up stays zero and both frobenius proxies are 0), then
 `onea merge` for the three fold strategies on adapters from those runs,
 for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
-smallest and largest score, and for the three fold strategies on two
+smallest and largest score, for one-a at --rank-eps 0.5, which cuts the
+effective ranks below full, and for the three fold strategies on two
 zero-updates adapters, whose zero w_up layers merge at effective rank 0
 under one-a and could surface signed zeros under any. It then reads the
 reports back: `onea eval` on every report of every run, and `onea compare`
@@ -56,12 +57,13 @@ MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
                     "--proxy", "frobenius", "--n-prev", "2"])
 # (source run, strategy, case tag, first of two consecutive per-task
 # adapters, flags): each fold strategy under each flag set, then one-a at
-# the clipped ends of numpy's linear quantile, then each fold strategy on
-# zero updates
+# the clipped ends of numpy's linear quantile and at a coarse rank cutoff,
+# then each fold strategy on zero updates
 MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                 for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
                + [("default", "one-a", f"q{q}", 1, ["--quantile-q", q])
                   for q in ("0", "1")]
+               + [("default", "one-a", "eps", 1, ["--rank-eps", "0.5"])]
                + [("zero-updates", strategy, "zero", 1, ["--proxy", "frobenius"])
                   for strategy in STRATEGIES[:3]])
 GEN_STREAM_CASES = {
