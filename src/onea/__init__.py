@@ -2,8 +2,7 @@
 learning, plus a deterministic desk-scale harness to compare strategies."""
 
 from .adapter import (AdapterModule, TaskMeta, adapter_forward, deserialize,
-                      load_module, mergeable, modules_equal, save_module,
-                      serialize)
+                      load_module, mergeable, save_module, serialize)
 from .errors import (ConfigError, FormatError, NumericError, OneaError,
                      ShapeError, TrainingError)
 from .merge import (GateVector, InfoProxy, MergeConfig, MergeTrace,

@@ -54,11 +54,12 @@ class TaskMeta:
         object.__setattr__(self, "task_id", check_int("task_id", self.task_id, 1))
         object.__setattr__(self, "sample_count",
                            check_int("sample_count", self.sample_count, 0))
-        # every fold rebuilds its meta through union; skip the full rule
-        # for ids that are already plain ints
-        object.__setattr__(self, "class_ids", frozenset(
-            c if type(c) is int else check_int("class id", c)
-            for c in self.class_ids))
+        # every fold rebuilds its meta through union: when every id is a
+        # plain int, one C-level pass over the types replaces the full rule
+        ids = tuple(self.class_ids)
+        if not set(map(type, ids)) <= {int}:
+            ids = [check_int("class id", c) for c in ids]
+        object.__setattr__(self, "class_ids", frozenset(ids))
         if not self.class_ids:
             raise ConfigError("class_ids must be non-empty")
 
@@ -108,13 +109,6 @@ def mergeable(a: AdapterModule, b: AdapterModule) -> bool:
     if len(a.layers) != len(b.layers):
         return False
     return all(x.shape == y.shape for x, y in zip(a.layers, b.layers))
-
-
-def modules_equal(a: AdapterModule, b: AdapterModule) -> bool:
-    """Exact structural equality (metadata and layer data)."""
-    return (a.meta == b.meta and a.bottleneck == b.bottleneck
-            and len(a.layers) == len(b.layers)
-            and all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers)))
 
 
 def adapter_forward(h: np.ndarray, w_down: np.ndarray, w_up: np.ndarray) -> np.ndarray:

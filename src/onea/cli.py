@@ -123,6 +123,10 @@ def _build_objects(conf: dict):
     strategies = [_enum_value(Strategy, s, "strategies") for s in conf["strategies"]]
     if not strategies:
         raise ConfigError("config key 'strategies' must name at least one strategy")
+    repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"config key 'strategies' names {', '.join(repeated)} "
+                          "more than once")
     return spec, train, merge_cfg, strategies
 
 

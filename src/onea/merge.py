@@ -75,7 +75,6 @@ class SingularDecomposition:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    effective_rank: int
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,12 @@ def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt.T
 
 
-def thin_svd(w: np.ndarray,
-             rank_eps: float = MergeConfig.rank_eps) -> SingularDecomposition:
-    """Thin SVD of w with LAPACK's factors and signs, made read-only.
-
-    effective_rank counts singular values strictly above rank_eps * sigma_1.
-    """
+def thin_svd(w: np.ndarray) -> SingularDecomposition:
+    """Thin SVD of w with LAPACK's factors and signs, made read-only."""
     u, s, v = _svd(as_matrix(w, "w"))
     for arr in (u, s, v):
         arr.flags.writeable = False
-    return SingularDecomposition(U=u, sigma=s, V=v,
-                                 effective_rank=_effective_rank(s, rank_eps))
+    return SingularDecomposition(U=u, sigma=s, V=v)
 
 
 def select_roles(new: AdapterModule, accumulated: AdapterModule):
@@ -264,6 +258,12 @@ def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     return (u * s) @ v_final.T, k
 
 
+def _check_mergeable(new: AdapterModule, accumulated: AdapterModule) -> None:
+    """The shape guard of all three merges."""
+    if not mergeable(new, accumulated):
+        raise ShapeError("modules are not mergeable: layer shapes differ")
+
+
 def _merged_module(new: AdapterModule, accumulated: AdapterModule,
                    layers) -> AdapterModule:
     return AdapterModule(layers=tuple(layers), bottleneck=new.bottleneck,
@@ -286,8 +286,7 @@ def merge_modules(new: AdapterModule, accumulated: AdapterModule | None,
 def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
                   cfg: MergeConfig) -> tuple[AdapterModule, MergeTrace]:
     """merge_modules past the first task, with the trace of its decisions."""
-    if not mergeable(new, accumulated):
-        raise ShapeError("modules are not mergeable: layer shapes differ")
+    _check_mergeable(new, accumulated)
     base, align = select_roles(new, accumulated)
     merged, trace = [], []
     for base_layer, align_layer in zip(base.layers, align.layers):
@@ -303,8 +302,7 @@ def merge_average(new: AdapterModule, accumulated: AdapterModule,
                   n_prev_tasks: int) -> AdapterModule:
     """Running per-entry mean: (n * accumulated + new) / (n + 1)."""
     n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1)
-    if not mergeable(new, accumulated):
-        raise ShapeError("modules are not mergeable: layer shapes differ")
+    _check_mergeable(new, accumulated)
     n = float(n_prev_tasks)
     layers = [(n * acc + cur) / (n + 1.0)
               for cur, acc in zip(new.layers, accumulated.layers)]
@@ -323,8 +321,7 @@ def merge_symmetric(new: AdapterModule, accumulated: AdapterModule,
     changes it.
     """
     w_b, w_a = _unit_interval("w_b", w_b), _unit_interval("w_a", w_a)
-    if not mergeable(new, accumulated):
-        raise ShapeError("modules are not mergeable: layer shapes differ")
+    _check_mergeable(new, accumulated)
     layers = []
     for cur, acc in zip(new.layers, accumulated.layers):
         d_in = acc.shape[1]

@@ -26,6 +26,13 @@ def make_module(layers, task_id=1, class_ids=(0,), sample_count=10,
     return AdapterModule(layers=layers, bottleneck=bottleneck, meta=meta)
 
 
+def modules_equal(a: AdapterModule, b: AdapterModule) -> bool:
+    """Exact structural equality (metadata and layer data)."""
+    return (a.meta == b.meta and a.bottleneck == b.bottleneck
+            and len(a.layers) == len(b.layers)
+            and all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers)))
+
+
 def fd_gradient(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the scalar fn() over every entry of
     arr, mutating arr in place and restoring it afterwards."""

@@ -11,12 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from onea import (AdapterModule, ConfigError, FormatError, NumericError,
                   ShapeError, TaskMeta, adapter_forward, deserialize,
-                  load_module, mergeable, modules_equal, save_module,
-                  serialize)
+                  load_module, mergeable, save_module, serialize)
 from onea.adapter import as_matrix, freeze
 from onea.counters import ADAPTER_FORWARDS
 
-from conftest import make_module
+from conftest import make_module, modules_equal
 
 
 # ---------------------------------------------------------------- helpers
@@ -127,14 +126,12 @@ def test_layer_pairs_requires_even_stack():
     assert pairs[0][0].shape == (4, 2)
 
 
-def test_mergeable_and_modules_equal():
+def test_mergeable():
     a = _sample_module()
     b = _sample_module()
     assert mergeable(a, b)
-    assert modules_equal(a, b)
     c = make_module([np.ones((4, 2)), np.ones((2, 4))], bottleneck=2)
     assert mergeable(a, c)
-    assert not modules_equal(a, c)
     d = make_module([np.ones((3, 2)), np.ones((2, 3))], bottleneck=2)
     assert not mergeable(a, d)
     e = make_module([np.ones((4, 2))], bottleneck=2)

@@ -219,6 +219,19 @@ def test_run_config_errors_exit_2(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_repeated_strategy_before_training(tmp_path, capsys):
+    out = tmp_path / "runs"
+    argv = ["run", *RUN_ARGS, "--set",
+            'strategies=["one-a", "average", "one-a", "average"]',
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config key 'strategies' names average, "
+                            "one-a more than once\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "k_decay=NaN",
                                      "gamma=-Infinity"])
 def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys):

@@ -10,7 +10,7 @@ from onea import (ConfigError, GateVector, InfoProxy, MergeConfig,
                   gate_vector, info_weights, merge_average, merge_layer,
                   merge_modules, merge_symmetric, select_roles, thin_svd)
 from onea.counters import SVD_CALLS
-from onea.merge import _linear_quantile, _logistic
+from onea.merge import _effective_rank, _linear_quantile, _logistic
 
 from conftest import (make_module, reference_merge_layer,
                       reference_merge_symmetric, reference_svd)
@@ -99,15 +99,15 @@ def test_thin_svd_is_deterministic():
     assert np.array_equal(a.V, b.V)
 
 
-def test_thin_svd_effective_rank():
-    ones = np.outer(np.ones(4), np.ones(3))
-    assert thin_svd(ones).effective_rank == 1
-    assert thin_svd(np.zeros((3, 3))).effective_rank == 0
-    full = np.diag([4.0, 2.0, 1.0])
-    assert thin_svd(full).effective_rank == 3
+def test_effective_rank():
+    def rank(w, rank_eps=CFG.rank_eps):
+        return _effective_rank(np.linalg.svd(w, compute_uv=False), rank_eps)
+
+    assert rank(np.outer(np.ones(4), np.ones(3))) == 1
+    assert rank(np.zeros((3, 3))) == 0
+    assert rank(np.diag([4.0, 2.0, 1.0])) == 3
     # entries at exactly rank_eps * sigma_1 count as noise
-    nearly = np.diag([1.0, 1e-10, 1e-16])
-    assert thin_svd(nearly, rank_eps=1e-10).effective_rank == 1
+    assert rank(np.diag([1.0, 1e-10, 1e-16]), rank_eps=1e-10) == 1
 
 
 def test_thin_svd_counts_calls():
@@ -510,6 +510,22 @@ def test_merge_symmetric_guards():
     a = make_module([np.eye(2)])
     with pytest.raises(ShapeError):
         merge_symmetric(a, make_module([np.eye(3)], task_id=2), 0.5, 0.5, CFG)
+
+
+@pytest.mark.parametrize("other", [[np.eye(3)], [np.eye(2), np.eye(2)]],
+                         ids=["layer-shape", "layer-count"])
+def test_merges_reject_a_mismatched_pair_alike(other):
+    new = make_module([np.eye(2)], task_id=2)
+    acc = make_module(other)
+    merges = (lambda: merge_modules(new, acc, CFG),
+              lambda: merge_average(new, acc, 1),
+              lambda: merge_symmetric(new, acc, 0.5, 0.5, CFG))
+    before = SVD_CALLS.value
+    for merge in merges:
+        with pytest.raises(ShapeError) as err:
+            merge()
+        assert str(err.value) == "modules are not mergeable: layer shapes differ"
+    assert SVD_CALLS.value == before
 
 
 def test_merge_symmetric_is_the_linear_blend():
