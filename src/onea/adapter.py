@@ -88,11 +88,9 @@ class AdapterModule:
     """
 
     layers: tuple[np.ndarray, ...]
-    bottleneck: int
     meta: TaskMeta
 
     def __post_init__(self):
-        object.__setattr__(self, "bottleneck", check_int("bottleneck", self.bottleneck, 1))
         frozen = tuple(freeze(as_matrix(w, f"layers[{i}]"))
                        for i, w in enumerate(self.layers))
         object.__setattr__(self, "layers", frozen)
@@ -144,7 +142,7 @@ def serialize(module: AdapterModule) -> bytes:
         "class_ids": sorted(module.meta.class_ids),
         "class_count": module.meta.class_count,
         "sample_count": module.meta.sample_count,
-        "bottleneck": module.bottleneck,
+        "bottleneck": module.layers[0].shape[1],
         "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1])}
                    for w in module.layers],
     }
@@ -199,6 +197,8 @@ def deserialize(data: bytes) -> AdapterModule:
             cols = check_int(f"layer {i} cols", shape["cols"], 1)
         except (KeyError, TypeError, ConfigError) as exc:
             raise FormatError(f"layer {i} shape entry is malformed: {exc}", 12) from None
+        if i == 0 and cols != bottleneck:
+            raise FormatError("bottleneck disagrees with layer 0's cols", 12)
         nbytes = rows * cols * 4
         if len(data) < cursor + nbytes:
             raise FormatError(
@@ -211,7 +211,7 @@ def deserialize(data: bytes) -> AdapterModule:
     if cursor != len(data):
         raise FormatError(f"{len(data) - cursor} trailing bytes after payload", cursor)
 
-    return AdapterModule(layers=tuple(layers), bottleneck=bottleneck, meta=meta)
+    return AdapterModule(layers=tuple(layers), meta=meta)
 
 
 def save_module(module: AdapterModule, path) -> None:

@@ -234,11 +234,11 @@ def cmd_compare(args) -> int:
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row[k]) for k in header) for row in rows]
     payload = {"schema_version": 1, "stream_seed": first.stream_seed, "rows": rows}
-    # files are written first, so an unwritable one prints nothing; a
-    # --out-json of - still prints the JSON after the table
+    # files are written first, so an unwritable one prints nothing; with
+    # -, --out-json prints after the table and --out-csv is the table
     if args.out_json not in (None, "-"):
         _dump_json(payload, args.out_json)
-    if args.out_csv:
+    if args.out_csv not in (None, "-"):
         Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     if args.out_json == "-":

@@ -266,26 +266,23 @@ def _check_mergeable(new: AdapterModule, accumulated: AdapterModule) -> None:
 
 def _merged_module(new: AdapterModule, accumulated: AdapterModule,
                    layers) -> AdapterModule:
-    return AdapterModule(layers=tuple(layers), bottleneck=new.bottleneck,
-                         meta=new.meta.union(accumulated.meta))
+    return AdapterModule(layers=tuple(layers), meta=new.meta.union(accumulated.meta))
 
 
-def merge_modules(new: AdapterModule, accumulated: AdapterModule | None,
+def merge_modules(new: AdapterModule, accumulated: AdapterModule,
                   cfg: MergeConfig) -> AdapterModule:
     """Fold a newly trained module into the accumulated one.
 
-    The first task has nothing to merge into and returns the new module
-    verbatim. Otherwise roles are selected once per module pair from
-    sample counts, weights are computed per layer from the information
-    proxy, and each layer is merged independently. Costs exactly one thin
-    SVD per layer.
+    Roles are selected once per module pair from sample counts, weights
+    are computed per layer from the information proxy, and each layer is
+    merged independently. Costs exactly one thin SVD per layer.
     """
-    return new if accumulated is None else _merge_traced(new, accumulated, cfg)[0]
+    return _merge_traced(new, accumulated, cfg)[0]
 
 
 def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
                   cfg: MergeConfig) -> tuple[AdapterModule, MergeTrace]:
-    """merge_modules past the first task, with the trace of its decisions."""
+    """merge_modules with the trace of its decisions."""
     _check_mergeable(new, accumulated)
     base, align = select_roles(new, accumulated)
     merged, trace = [], []

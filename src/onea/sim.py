@@ -284,10 +284,9 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
     if not inits:
         raise ConfigError("train_task needs at least one init")
     d = backbone.projection.shape[1]
-    b = cfg.bottleneck
     classes = sorted(meta.class_ids)
     k = len(classes)
-    members = [_initial_params(init, cfg.seed, d, b, k) for init in inits]
+    members = [_initial_params(init, cfg.seed, d, cfg.bottleneck, k) for init in inits]
     params = {name: np.stack([m[name] for m in members]) for name in members[0]}
 
     rng = np.random.default_rng(
@@ -322,7 +321,7 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
     except FloatingPointError:
         raise TrainingError(diverged) from None
 
-    return [AdapterModule(layers=(w_down, w_up), bottleneck=b, meta=meta)
+    return [AdapterModule(layers=(w_down, w_up), meta=meta)
             for w_down, w_up in zip(params["w_down"], params["w_up"])]
 
 

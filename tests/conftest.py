@@ -16,20 +16,15 @@ import numpy as np
 from onea.adapter import AdapterModule, TaskMeta
 
 
-def make_module(layers, task_id=1, class_ids=(0,), sample_count=10,
-                bottleneck=None) -> AdapterModule:
-    layers = tuple(np.asarray(w, dtype=np.float64) for w in layers)
-    if bottleneck is None:
-        bottleneck = max(1, layers[0].shape[1])
+def make_module(layers, task_id=1, class_ids=(0,), sample_count=10) -> AdapterModule:
     meta = TaskMeta(task_id=task_id, class_ids=frozenset(class_ids),
                     sample_count=sample_count)
-    return AdapterModule(layers=layers, bottleneck=bottleneck, meta=meta)
+    return AdapterModule(layers=tuple(layers), meta=meta)
 
 
 def modules_equal(a: AdapterModule, b: AdapterModule) -> bool:
     """Exact structural equality (metadata and layer data)."""
-    return (a.meta == b.meta and a.bottleneck == b.bottleneck
-            and len(a.layers) == len(b.layers)
+    return (a.meta == b.meta and len(a.layers) == len(b.layers)
             and all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers)))
 
 

@@ -28,14 +28,18 @@ def _meta(task_id=1, class_ids=(0, 1), sample_count=10):
 def _sample_module():
     rng = np.random.default_rng(7)
     return make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))],
-                       task_id=3, class_ids=(5, 9, 11), sample_count=120,
-                       bottleneck=2)
+                       task_id=3, class_ids=(5, 9, 11), sample_count=120)
+
+
+def _header(data: bytes) -> dict:
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[12:12 + header_len])
 
 
 def _rebuild(data: bytes, mutate_header) -> bytes:
     """Re-encode a container with its JSON header altered."""
     (header_len,) = struct.unpack_from("<I", data, 8)
-    header = json.loads(data[12:12 + header_len])
+    header = _header(data)
     mutate_header(header)
     encoded = json.dumps(header, sort_keys=True,
                          separators=(",", ":")).encode()
@@ -112,11 +116,6 @@ def test_module_freezes_layers():
     assert module.layers[0][0, 0] == 1.0
 
 
-def test_module_rejects_bad_bottleneck():
-    with pytest.raises(ConfigError):
-        AdapterModule(layers=(np.ones((2, 2)),), bottleneck=0, meta=_meta())
-
-
 def test_layer_pairs_requires_even_stack():
     module = make_module([np.ones((2, 2))] * 3)
     with pytest.raises(ShapeError):
@@ -130,11 +129,11 @@ def test_mergeable():
     a = _sample_module()
     b = _sample_module()
     assert mergeable(a, b)
-    c = make_module([np.ones((4, 2)), np.ones((2, 4))], bottleneck=2)
+    c = make_module([np.ones((4, 2)), np.ones((2, 4))])
     assert mergeable(a, c)
-    d = make_module([np.ones((3, 2)), np.ones((2, 3))], bottleneck=2)
+    d = make_module([np.ones((3, 2)), np.ones((2, 3))])
     assert not mergeable(a, d)
-    e = make_module([np.ones((4, 2))], bottleneck=2)
+    e = make_module([np.ones((4, 2))])
     assert not mergeable(a, e)
 
 
@@ -177,9 +176,10 @@ def test_adapter_forward_shape_errors():
 
 def test_round_trip_quantizes_to_float32():
     module = _sample_module()
-    back = deserialize(serialize(module))
+    data = serialize(module)
+    back = deserialize(data)
     assert back.meta == module.meta
-    assert back.bottleneck == module.bottleneck
+    assert _header(data)["bottleneck"] == module.layers[0].shape[1] == 2
     for got, want in zip(back.layers, module.layers):
         assert np.array_equal(got, want.astype("<f4").astype(np.float64))
 
@@ -190,7 +190,7 @@ def test_serialize_is_fixpoint_after_round_trip():
 
 
 def test_serialize_rejects_empty_module():
-    module = AdapterModule(layers=(), bottleneck=1, meta=_meta())
+    module = AdapterModule(layers=(), meta=_meta())
     with pytest.raises(FormatError) as err:
         serialize(module)
     assert err.value.offset == 0
@@ -218,19 +218,18 @@ _layer = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 @given(layers=st.lists(_layer, min_size=1, max_size=3),
        task_id=st.integers(1, 50),
        class_ids=st.sets(st.integers(0, 99), min_size=1, max_size=6),
-       sample_count=st.integers(0, 10000),
-       bottleneck=st.integers(1, 16))
-def test_container_round_trip_property(layers, task_id, class_ids,
-                                       sample_count, bottleneck):
+       sample_count=st.integers(0, 10000))
+def test_container_round_trip_property(layers, task_id, class_ids, sample_count):
     # float32-representable payloads survive the container untouched,
-    # and re-serializing the result reproduces the same bytes
+    # the header's bottleneck is layer 0's width, and re-serializing the
+    # result reproduces the same bytes
     module = make_module([w.astype(np.float64) for w in layers],
                          task_id=task_id, class_ids=class_ids,
-                         sample_count=sample_count, bottleneck=bottleneck)
+                         sample_count=sample_count)
     data = serialize(module)
     back = deserialize(data)
     assert back.meta == module.meta
-    assert back.bottleneck == module.bottleneck
+    assert _header(data)["bottleneck"] == layers[0].shape[1]
     for got, want in zip(back.layers, module.layers):
         assert np.array_equal(got, want)
     assert serialize(back) == data
@@ -296,6 +295,16 @@ def test_class_count_mismatch_offset_12():
     with pytest.raises(FormatError) as err:
         deserialize(bad)
     assert err.value.offset == 12
+
+
+def test_bottleneck_mismatch_offset_12():
+    # layer 0 of the sample module has 2 columns
+    data = serialize(_sample_module())
+    for bottleneck in (1, 3, 0):
+        bad = _rebuild(data, lambda h: h.__setitem__("bottleneck", bottleneck))
+        with pytest.raises(FormatError) as err:
+            deserialize(bad)
+        assert err.value.offset == 12
 
 
 def test_empty_layer_list_offset_12():

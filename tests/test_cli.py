@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import tempfile
 from pathlib import Path
@@ -35,12 +36,10 @@ def _two_modules(tmp_path, shape=(4, 2)):
     rows, cols = shape
     a = make_module([rng.normal(size=(rows, cols)),
                      rng.normal(size=(cols, rows))],
-                    task_id=1, class_ids=(0, 1), sample_count=40,
-                    bottleneck=cols)
+                    task_id=1, class_ids=(0, 1), sample_count=40)
     b = make_module([rng.normal(size=(rows, cols)),
                      rng.normal(size=(cols, rows))],
-                    task_id=2, class_ids=(2,), sample_count=20,
-                    bottleneck=cols)
+                    task_id=2, class_ids=(2,), sample_count=20)
     pa, pb = tmp_path / "a.onea", tmp_path / "b.onea"
     save_module(a, pa)
     save_module(b, pb)
@@ -343,8 +342,7 @@ def test_merge_average_and_symmetric(tmp_path, capsys):
 def test_merge_error_exit_codes(tmp_path, capsys):
     pa, _ = _two_modules(tmp_path)
     other = tmp_path / "wide.onea"
-    save_module(make_module([np.ones((6, 3)), np.ones((3, 6))], task_id=3,
-                            bottleneck=3), other)
+    save_module(make_module([np.ones((6, 3)), np.ones((3, 6))], task_id=3), other)
     out = tmp_path / "out.onea"
     for strategy in ("one-a", "average", "symmetric"):
         assert main(["merge", str(pa), str(other), "--out", str(out),
@@ -356,11 +354,14 @@ def test_merge_error_exit_codes(tmp_path, capsys):
     assert main(["merge", str(pa), str(corrupt), "--out", str(out)]) == 4
     assert "byte offset" in capsys.readouterr().err
 
-    # same-length header edits: duplicate class ids, and a string of ids
+    # same-length header edits: duplicate class ids, a string of ids, and
+    # a bottleneck that is not layer 0's width
     data = pa.read_bytes()
-    for name, ids in (("dup", b"[1,1]"), ("str", b'"ab" ')):
+    for name, old, new in (("dup", b'"class_ids":[0,1]', b'"class_ids":[1,1]'),
+                           ("str", b'"class_ids":[0,1]', b'"class_ids":"ab" '),
+                           ("width", b'"bottleneck":2', b'"bottleneck":3')):
         bad = tmp_path / f"{name}.onea"
-        bad.write_bytes(data.replace(b'"class_ids":[0,1]', b'"class_ids":' + ids))
+        bad.write_bytes(data.replace(old, new))
         assert bad.read_bytes() != data
         assert main(["merge", str(pa), str(bad), "--out", str(out)]) == 4
         assert "byte offset 12" in capsys.readouterr().err
@@ -384,7 +385,7 @@ def test_merge_zero_base_keeps_zero_layers(tmp_path, capsys):
     zero = tmp_path / "zero.onea"
     # more samples than the new module, so the all-zero module is the base
     save_module(make_module([np.zeros((4, 2)), np.zeros((2, 4))], task_id=1,
-                            class_ids=(0, 1), sample_count=40, bottleneck=2),
+                            class_ids=(0, 1), sample_count=40),
                 zero)
     out = tmp_path / "out.onea"
     assert main(["merge", str(zero), str(new), "--out", str(out)]) == 0
@@ -546,6 +547,18 @@ def test_compare_table_and_outputs(tmp_path, capsys):
     assert json.loads("{" + dumped) == payload
 
 
+def test_compare_out_csv_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    out = _run_one(tmp_path)
+    reports = [str(out / "report-one-a.json"), str(out / "report-average.json")]
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["compare", *reports]) == 0
+    plain = capsys.readouterr().out
+    assert main(["compare", *reports, "--out-csv", "-"]) == 0
+    assert capsys.readouterr().out == plain
+    assert not (tmp_path / "-").exists()
+
+
 @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
 def test_compare_unwritable_output_prints_nothing(flag, tmp_path, capsys):
     out = _run_one(tmp_path)
@@ -594,6 +607,23 @@ def _readme_walkthrough():
             steps[-1][1].append(line)
     return [(shlex.split(" ".join(c.rstrip("\\") for c in parts)), shown)
             for parts, shown in steps]
+
+
+def test_readme_config_table_matches_run_defaults():
+    section = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        key_cell, default_cell = line.split(" | ")[:2]
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        raw = default_cell.replace("`", "")
+        values = [json.loads(raw)] if len(keys) == 1 else json.loads(f"[{raw}]")
+        table.update(zip(keys, values, strict=True))
+    assert table == RUN_DEFAULTS
+    assert {k: type(v) for k, v in table.items()} == \
+        {k: type(v) for k, v in RUN_DEFAULTS.items()}
 
 
 def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):

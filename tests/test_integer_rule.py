@@ -5,9 +5,8 @@ ConfigError, and a numpy integer is accepted and stored as a Python int."""
 import numpy as np
 import pytest
 
-from onea import (AdapterModule, ConfigError, StreamSpec, TaskMeta,
-                  TrainConfig, class_ratios, epoch_schedule, lambda_schedule,
-                  merge_average)
+from onea import (ConfigError, StreamSpec, TaskMeta, TrainConfig, class_ratios,
+                  epoch_schedule, lambda_schedule, merge_average)
 from onea.cli import _coerce
 from onea.errors import check_int
 
@@ -49,8 +48,6 @@ _SLOTS = {
     "TaskMeta.sample_count": (lambda v: _meta(sample_count=v).sample_count, 3),
     "TaskMeta.class_id":
         (lambda v: next(iter(_meta(class_ids=frozenset({v})).class_ids)), 3),
-    "AdapterModule.bottleneck": (lambda v: AdapterModule(
-        layers=(np.ones((2, 2)),), bottleneck=v, meta=_meta()).bottleneck, 3),
     "lambda_schedule.class_count": (lambda v: lambda_schedule(v, _CFG), 3),
     "epoch_schedule.class_count": (lambda v: epoch_schedule(v, 20, 5, _CFG), 3),
     "epoch_schedule.total_classes": (lambda v: epoch_schedule(4, v, 5, _CFG), 3),

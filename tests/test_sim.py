@@ -331,7 +331,7 @@ def test_train_task_rejects_mismatched_init():
     for layers in ([np.zeros((16, 2)), np.zeros((2, 16))],
                    [np.zeros((16, b)), np.zeros((b, 17))],
                    [np.zeros((16, b)), np.zeros((b + 1, 16))]):
-        wrong = make_module(layers, bottleneck=layers[0].shape[1])
+        wrong = make_module(layers)
         with pytest.raises(ShapeError):
             train_task(stream.tasks[0], backbone, QUICK, [None, wrong])
 
@@ -428,8 +428,7 @@ def test_train_task_rejects_empty_task():
 
 def _identity_adapter(d, b=2):
     rng = np.random.default_rng(9)
-    return make_module([rng.normal(size=(d, b)), np.zeros((b, d))],
-                       class_ids=(0, 1), bottleneck=b)
+    return make_module([rng.normal(size=(d, b)), np.zeros((b, d))], class_ids=(0, 1))
 
 
 def test_compute_prototypes_are_class_means():
@@ -520,8 +519,7 @@ def test_prototype_bank_accepts_numpy_integer_ids():
 
 def _flat_setup():
     backbone = Backbone(projection=np.eye(2))
-    adapter = make_module([np.zeros((2, 1)), np.zeros((1, 2))],
-                          class_ids=(0, 1), bottleneck=1)
+    adapter = make_module([np.zeros((2, 1)), np.zeros((1, 2))], class_ids=(0, 1))
     bank = PrototypeBank(prototypes={0: np.array([1.0, 0.0]),
                                      1: np.array([0.0, 1.0])})
     return backbone, adapter, bank

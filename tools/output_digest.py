@@ -1,17 +1,20 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on ten configs x stream/train seeds {0, 3}, seven with all
+Runs `onea run` on eleven configs x stream/train seeds {0, 3}, eight with all
 five strategies and three with a single one (single-finetune alone trains
 only the continuation past the first task, per-task alone only fresh
 adapters; per-task-one-row has one test row per task, so every test block
 is scored through the single-row product path; zero-updates trains no
-epoch, so every w_up stays zero and both frobenius proxies are 0), then
+epoch, so every w_up stays zero and both frobenius proxies are 0;
+bottleneck3 is the one config whose adapters are not 8 wide), then
 `onea merge` for the three fold strategies on adapters from those runs,
 for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
 smallest and largest score, for one-a at --rank-eps 0.5, which cuts the
 effective ranks below full, and for the three fold strategies on two
 zero-updates adapters, whose zero w_up layers merge at effective rank 0
-under one-a and could surface signed zeros under any. It then reads the
+under one-a and could surface signed zeros under any, and for the three
+fold strategies on two bottleneck3 adapters, so a .onea header width taken
+from anything but the layers changes the bytes. It then reads the
 reports back: `onea eval` on every report of every run, and `onea compare`
 over each run's reports with the merge_ms column (wall time) masked; last,
 `onea gen-stream` writes three manifests, one of them balanced. Each case
@@ -51,6 +54,7 @@ CONFIGS = {
     "per-task-one-row": {"classes": 12, "tasks": 12, "samples_per_class": 3,
                          "batch_size": 4, "strategies": ["per-task"]},
     "zero-updates": {"epochs_min": 0, "epochs_max": 0, "info_proxy": "frobenius"},
+    "bottleneck3": {"classes": 12, "tasks": 4, "bottleneck": 3},
 }
 SEEDS = (0, 3)
 MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
@@ -58,14 +62,15 @@ MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
 # (source run, strategy, case tag, first of two consecutive per-task
 # adapters, flags): each fold strategy under each flag set, then one-a at
 # the clipped ends of numpy's linear quantile and at a coarse rank cutoff,
-# then each fold strategy on zero updates
+# then each fold strategy on zero updates and on bottleneck-3 adapters
 MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                 for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
                + [("default", "one-a", f"q{q}", 1, ["--quantile-q", q])
                   for q in ("0", "1")]
                + [("default", "one-a", "eps", 1, ["--rank-eps", "0.5"])]
                + [("zero-updates", strategy, "zero", 1, ["--proxy", "frobenius"])
-                  for strategy in STRATEGIES[:3]])
+                  for strategy in STRATEGIES[:3]]
+               + [("bottleneck3", strategy, "b3", 1, []) for strategy in STRATEGIES[:3]])
 GEN_STREAM_CASES = {
     "20x5": ["--classes", "20", "--tasks", "5"],
     "100x10-descending": ["--classes", "100", "--tasks", "10", "--order", "descending",
