@@ -20,9 +20,9 @@ from .errors import (ConfigError, FormatError, NumericError, ShapeError,
 
 MAGIC = b"ONEA"
 FORMAT_VERSION = 1
-
-_HEADER_KEYS = {"task_id", "class_ids", "class_count", "sample_count",
-                "bottleneck", "layers"}
+# compact JSON with sorted keys; one instance, as json.dumps builds an
+# encoder per call for non-default settings
+_HEADER_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -93,6 +93,8 @@ class AdapterModule:
     def __post_init__(self):
         frozen = tuple(freeze(as_matrix(w, f"layers[{i}]"))
                        for i, w in enumerate(self.layers))
+        if not frozen:
+            raise ShapeError("adapter stack must hold at least one layer")
         object.__setattr__(self, "layers", frozen)
 
     def layer_pairs(self):
@@ -133,20 +135,23 @@ def adapter_forward(h: np.ndarray, w_down: np.ndarray, w_up: np.ndarray) -> np.n
     return h + np.maximum(h @ w_down, 0.0) @ w_up
 
 
+def _header_bytes(meta: TaskMeta, shapes) -> bytes:
+    """The container's JSON header for meta and (rows, cols) layer shapes:
+    the one encoding serialize writes and deserialize accepts."""
+    header = {
+        "task_id": meta.task_id,
+        "class_ids": sorted(meta.class_ids),
+        "class_count": meta.class_count,
+        "sample_count": meta.sample_count,
+        "bottleneck": shapes[0][1],
+        "layers": [{"rows": rows, "cols": cols} for rows, cols in shapes],
+    }
+    return _HEADER_ENCODER.encode(header).encode("utf-8")
+
+
 def serialize(module: AdapterModule) -> bytes:
     """Encode a module into the versioned binary container."""
-    if not module.layers:
-        raise FormatError("cannot serialize a module with no layers", 0)
-    header = {
-        "task_id": module.meta.task_id,
-        "class_ids": sorted(module.meta.class_ids),
-        "class_count": module.meta.class_count,
-        "sample_count": module.meta.sample_count,
-        "bottleneck": module.layers[0].shape[1],
-        "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1])}
-                   for w in module.layers],
-    }
-    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    encoded = _header_bytes(module.meta, [w.shape for w in module.layers])
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION),
              struct.pack("<I", len(encoded)), encoded]
     for w in module.layers:
@@ -155,7 +160,11 @@ def serialize(module: AdapterModule) -> bytes:
 
 
 def deserialize(data: bytes) -> AdapterModule:
-    """Decode the binary container, reporting the offset of any defect."""
+    """Decode the binary container, reporting the offset of any defect.
+
+    The header must be byte for byte the one serialize writes for the
+    fields and layer shapes it names, so every container that loads
+    re-serializes to its own bytes."""
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError("bad magic, expected b'ONEA'", 0)
     if len(data) < 8:
@@ -168,37 +177,25 @@ def deserialize(data: bytes) -> AdapterModule:
     (header_len,) = struct.unpack_from("<I", data, 8)
     if len(data) < 12 + header_len:
         raise FormatError("truncated inside header", len(data))
+    encoded = data[12:12 + header_len]
     try:
-        header = json.loads(data[12:12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"header is not valid JSON: {exc}", 12) from None
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
-        raise FormatError("header keys do not match the format", 12)
-    layers_spec = header["layers"]
-    if not isinstance(layers_spec, list) or not layers_spec:
-        raise FormatError("layer list must be non-empty", 12)
-    try:
+        # ValueError covers undecodable bytes, bad JSON and ints past the
+        # digit limit; json.loads raises RecursionError on deep nesting
+        header = json.loads(encoded.decode("utf-8"))
         meta = TaskMeta(task_id=header["task_id"], class_ids=header["class_ids"],
                         sample_count=header["sample_count"])
-        bottleneck = check_int("bottleneck", header["bottleneck"], 1)
-        class_count = check_int("class_count", header["class_count"])
-    except (ConfigError, TypeError) as exc:
-        raise FormatError(f"header fields invalid: {exc}", 12) from None
-    if len(header["class_ids"]) != meta.class_count:
-        raise FormatError("class_ids holds duplicate ids", 12)
-    if class_count != meta.class_count:
-        raise FormatError("class_count disagrees with class_ids", 12)
+        shapes = [(check_int(f"layer {i} rows", s["rows"], 1),
+                   check_int(f"layer {i} cols", s["cols"], 1))
+                  for i, s in enumerate(header["layers"])]
+        if encoded != _header_bytes(meta, shapes):
+            raise FormatError("header is not the one serialize writes for its fields", 12)
+    except (ValueError, RecursionError, ConfigError, KeyError, TypeError,
+            IndexError) as exc:
+        raise FormatError(f"header is invalid: {exc!r}", 12) from None
 
     cursor = 12 + header_len
     layers = []
-    for i, shape in enumerate(layers_spec):
-        try:
-            rows = check_int(f"layer {i} rows", shape["rows"], 1)
-            cols = check_int(f"layer {i} cols", shape["cols"], 1)
-        except (KeyError, TypeError, ConfigError) as exc:
-            raise FormatError(f"layer {i} shape entry is malformed: {exc}", 12) from None
-        if i == 0 and cols != bottleneck:
-            raise FormatError("bottleneck disagrees with layer 0's cols", 12)
+    for i, (rows, cols) in enumerate(shapes):
         nbytes = rows * cols * 4
         if len(data) < cursor + nbytes:
             raise FormatError(
@@ -206,7 +203,7 @@ def deserialize(data: bytes) -> AdapterModule:
         raw = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=cursor)
         if not np.isfinite(raw).all():
             raise FormatError(f"layer {i} payload holds non-finite values", cursor)
-        layers.append(raw.astype(np.float64).reshape(rows, cols))
+        layers.append(raw.reshape(rows, cols))
         cursor += nbytes
     if cursor != len(data):
         raise FormatError(f"{len(data) - cursor} trailing bytes after payload", cursor)

@@ -193,13 +193,14 @@ def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
     """The training objective on a batch of backbone features: the loss,
     its named terms and analytic gradients for every parameter in params.
 
-    With two or more head columns the loss is (1 - lam) * cross-entropy +
-    lam * contrastive; a single-class head trains on the contrastive term
-    alone at full weight and gets zero gradients. Reverse-mode accumulation
-    runs through the residual adapter and the local linear head; the ReLU
-    and hinge use the 0 subgradient at their kinks. Parameters may carry a
-    leading member axis (w_down of shape (m, d, b), and so on) over the one
-    batch h; the loss and its terms then hold one value per member.
+    The loss is (1 - lam) * cross-entropy + lam * contrastive. A
+    single-class head runs at lam = 1: its one-column cross-entropy is
+    exactly 0 with zero gradients, so the contrastive term trains alone at
+    full weight. Reverse-mode accumulation runs through the residual
+    adapter and the local linear head; the ReLU and hinge use the 0
+    subgradient at their kinks. Parameters may carry a leading member axis
+    (w_down of shape (m, d, b), and so on) over the one batch h; the loss
+    and its terms then hold one value per member.
     """
     w_down, w_up = params["w_down"], params["w_up"]
     head_w, head_b = params["head_w"], params["head_b"]
@@ -208,13 +209,11 @@ def _objective(h: np.ndarray, y: np.ndarray, params: dict, lam: float,
     z = h + relu_a @ w_up
     ctr, dz = _contrastive_grad(z, y, tau)
     if head_w.shape[-1] < 2:
-        loss, ce = ctr, 0.0
-        grads = {"head_w": np.zeros_like(head_w), "head_b": np.zeros_like(head_b)}
-    else:
-        ce, dz_ce, dhw, dhb = _cross_entropy_grad(z, y, head_w, head_b)
-        loss = (1.0 - lam) * ce + lam * ctr
-        dz = (1.0 - lam) * dz_ce + lam * dz
-        grads = {"head_w": (1.0 - lam) * dhw, "head_b": (1.0 - lam) * dhb}
+        lam = 1.0
+    ce, dz_ce, dhw, dhb = _cross_entropy_grad(z, y, head_w, head_b)
+    loss = (1.0 - lam) * ce + lam * ctr
+    dz = (1.0 - lam) * dz_ce + lam * dz
+    grads = {"head_w": (1.0 - lam) * dhw, "head_b": (1.0 - lam) * dhb}
     grads["w_up"] = relu_a.mT @ dz
     grads["w_down"] = h.T @ ((dz @ w_up.mT) * (a > 0.0))
     return loss, {"ce": ce, "ctr": ctr}, grads
@@ -531,15 +530,13 @@ class _StrategyRun:
         else:
             self.adapters[0] = adapter
             self.banks[0] = self.banks[0].updated(fresh)
-        if self.best is None:
-            best = _predict_across_banks(eval_h, self.adapters, self.banks)
-        else:
+        kept = None
+        if self.best is not None:
             # the old members score only the new task's rows
             old = _predict_across_banks(eval_h[self.best[1].size:],
                                         self.adapters[:-1], self.banks[:-1])
-            best = _predict_across_banks(
-                eval_h, self.adapters[-1:], self.banks[-1:],
-                tuple(np.concatenate(pair) for pair in zip(self.best, old)))
+            kept = tuple(np.concatenate(pair) for pair in zip(self.best, old))
+        best = _predict_across_banks(eval_h, self.adapters[-1:], self.banks[-1:], kept)
         if self.strategy is Strategy.PER_TASK:
             self.best = best
         correct = best[1] == eval_y

@@ -36,15 +36,22 @@ def _header(data: bytes) -> dict:
     return json.loads(data[12:12 + header_len])
 
 
-def _rebuild(data: bytes, mutate_header) -> bytes:
-    """Re-encode a container with its JSON header altered."""
+def _with_header(data: bytes, encoded: bytes) -> bytes:
+    """The container with its header bytes replaced by encoded."""
     (header_len,) = struct.unpack_from("<I", data, 8)
-    header = _header(data)
-    mutate_header(header)
-    encoded = json.dumps(header, sort_keys=True,
-                         separators=(",", ":")).encode()
     return (data[:8] + struct.pack("<I", len(encoded)) + encoded
             + data[12 + header_len:])
+
+
+def _compact(header: dict) -> str:
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+
+
+def _rebuild(data: bytes, mutate_header) -> bytes:
+    """Re-encode a container with its JSON header altered."""
+    header = _header(data)
+    mutate_header(header)
+    return _with_header(data, _compact(header).encode())
 
 
 # ---------------------------------------------------------------- as_matrix
@@ -114,6 +121,11 @@ def test_module_freezes_layers():
     assert not module.layers[0].flags.writeable
     w[0, 0] = 9.0
     assert module.layers[0][0, 0] == 1.0
+
+
+def test_module_rejects_empty_layer_stack():
+    with pytest.raises(ShapeError):
+        AdapterModule(layers=(), meta=_meta())
 
 
 def test_layer_pairs_requires_even_stack():
@@ -189,13 +201,6 @@ def test_serialize_is_fixpoint_after_round_trip():
     assert serialize(deserialize(data)) == data
 
 
-def test_serialize_rejects_empty_module():
-    module = AdapterModule(layers=(), meta=_meta())
-    with pytest.raises(FormatError) as err:
-        serialize(module)
-    assert err.value.offset == 0
-
-
 def test_save_and_load_round_trip(tmp_path):
     module = _sample_module()
     path = tmp_path / "adapter.onea"
@@ -233,6 +238,41 @@ def test_container_round_trip_property(layers, task_id, class_ids, sample_count)
     for got, want in zip(back.layers, module.layers):
         assert np.array_equal(got, want)
     assert serialize(back) == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(layers=st.lists(_layer, min_size=1, max_size=3),
+       class_ids=st.sets(st.integers(0, 99), min_size=1, max_size=6),
+       indent=st.sampled_from([None, 0, 2]),
+       sort_keys=st.booleans(),
+       separators=st.sampled_from([(",", ":"), (", ", ": "), (",", ": ")]),
+       draw=st.data())
+def test_only_the_serialized_header_loads(layers, class_ids, indent, sort_keys,
+                                          separators, draw):
+    # re-encode a valid container's header with drawn JSON settings, key
+    # order, class id order and an optional leading duplicate of one key
+    # (the later, original value wins in json.loads): it either fails at
+    # the header's offset or loads as a module that re-serializes to the
+    # very same bytes, and the canonical encoding always loads
+    data = serialize(make_module([w.astype(np.float64) for w in layers],
+                                 class_ids=class_ids))
+    assert serialize(deserialize(data)) == data
+    header = _header(data)
+    header["class_ids"] = draw.draw(st.permutations(header["class_ids"]))
+    header = {key: header[key] for key in draw.draw(st.permutations(list(header)))}
+    text = json.dumps(header, indent=indent, sort_keys=sort_keys,
+                      separators=separators)
+    dup = draw.draw(st.sampled_from([None, *header]))
+    if dup is not None:
+        text = "{" + json.dumps(dup) + ":" + json.dumps(header[dup]) + "," + text[1:]
+    edited = _with_header(data, text.encode())
+    try:
+        back = deserialize(edited)
+    except FormatError as err:
+        assert err.offset == 12
+        assert edited != data
+    else:
+        assert serialize(back) == edited
 
 
 # Every defect class reports the offset of the first bad byte.
@@ -278,6 +318,42 @@ def test_header_not_json_offset_12():
     data = (b"ONEA" + struct.pack("<I", 1) + struct.pack("<I", len(raw)) + raw)
     with pytest.raises(FormatError) as err:
         deserialize(data)
+    assert err.value.offset == 12
+
+
+@pytest.mark.parametrize("raw", [b'{"task_id":' + b"9" * 5000 + b"}",
+                                 b"[" * 100000],
+                         ids=["int-5000-digits", "nested-100000"])
+def test_unparseable_header_offset_12(raw):
+    # an integer past Python's digit limit and nesting past the recursion
+    # limit fail inside json.loads with ValueError and RecursionError
+    data = (b"ONEA" + struct.pack("<I", 1) + struct.pack("<I", len(raw)) + raw)
+    with pytest.raises(FormatError) as err:
+        deserialize(data)
+    assert err.value.offset == 12
+
+
+_NON_CANONICAL = {
+    "pretty-printed": lambda h: json.dumps(h, sort_keys=True, indent=2),
+    "key-order": lambda h: json.dumps(dict(reversed(h.items())),
+                                      separators=(",", ":")),
+    "unsorted-class-ids": lambda h: _compact({**h, "class_ids": h["class_ids"][::-1]}),
+    # json.loads keeps the later, original task_id
+    "duplicate-key": lambda h: '{"task_id":7,' + _compact(h)[1:],
+    "extra-layer-key": lambda h: _compact(
+        {**h, "layers": [{**h["layers"][0], "dtype": "<f4"}, *h["layers"][1:]]}),
+}
+
+
+@pytest.mark.parametrize("encode", _NON_CANONICAL.values(), ids=_NON_CANONICAL.keys())
+def test_non_canonical_header_offset_12(encode):
+    # each variant names valid fields, so only the byte-for-byte header
+    # rule rejects it
+    data = serialize(_sample_module())
+    bad = _with_header(data, encode(_header(data)).encode())
+    assert bad != data
+    with pytest.raises(FormatError) as err:
+        deserialize(bad)
     assert err.value.offset == 12
 
 
@@ -360,8 +436,8 @@ def test_trailing_bytes_report_payload_end():
     assert err.value.offset == len(data)
 
 
-def _set_layer(field, value):
-    return lambda h: h["layers"][0].__setitem__(field, value)
+def _set_layer(field, value, layer=0):
+    return lambda h: h["layers"][layer].__setitem__(field, value)
 
 
 _BAD_HEADERS = {
@@ -392,4 +468,15 @@ def test_invalid_header_fields_offset_12():
     bad = _rebuild(data, lambda h: h.__setitem__("task_id", 0))
     with pytest.raises(FormatError) as err:
         deserialize(bad)
+    assert err.value.offset == 12
+
+
+def test_header_defect_reported_before_payload():
+    # layer 1's header entry is bad and the payload ends 10 bytes into
+    # layer 0: the header, read whole first, is the first bad byte
+    data = serialize(_sample_module())
+    bad = _rebuild(data, _set_layer("rows", 2.5, layer=1))
+    (header_len,) = struct.unpack_from("<I", bad, 8)
+    with pytest.raises(FormatError) as err:
+        deserialize(bad[:12 + header_len + 10])
     assert err.value.offset == 12

@@ -354,11 +354,12 @@ def test_merge_error_exit_codes(tmp_path, capsys):
     assert main(["merge", str(pa), str(corrupt), "--out", str(out)]) == 4
     assert "byte offset" in capsys.readouterr().err
 
-    # same-length header edits: duplicate class ids, a string of ids, and
-    # a bottleneck that is not layer 0's width
+    # same-length header edits: duplicate class ids, a string of ids,
+    # unsorted ids, and a bottleneck that is not layer 0's width
     data = pa.read_bytes()
     for name, old, new in (("dup", b'"class_ids":[0,1]', b'"class_ids":[1,1]'),
                            ("str", b'"class_ids":[0,1]', b'"class_ids":"ab" '),
+                           ("order", b'"class_ids":[0,1]', b'"class_ids":[1,0]'),
                            ("width", b'"bottleneck":2', b'"bottleneck":3')):
         bad = tmp_path / f"{name}.onea"
         bad.write_bytes(data.replace(old, new))
