@@ -13,51 +13,39 @@ is echoed into every output. Exit codes: 0 success, 2 user/config error,
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .adapter import load_module, save_module
-from .errors import (ConfigError, FormatError, NumericError, OneaError,
-                     check_float, check_int)
+from .errors import ConfigError, FormatError, NumericError, OneaError
 from .merge import InfoProxy, MergeConfig
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       weighted_average_accuracy)
 from .sim import (FOLD_STRATEGIES, Strategy, TrainConfig, fold, run_config,
                   run_strategies)
-from .stream import StreamSpec, TaskOrder, build_stream
+from .stream import StreamSpec, TaskOrder, build_stream, config_keys
 
 # every library default comes from the config dataclasses; only the
 # stream shape, the strategy list and the output directory are the CLI's own
-_DEFAULT_SPEC = StreamSpec(total_classes=20, num_tasks=5)
 RUN_DEFAULTS = {
-    **run_config(_DEFAULT_SPEC, TrainConfig(), MergeConfig()),
+    **run_config(StreamSpec(total_classes=20, num_tasks=5), TrainConfig(), MergeConfig()),
     "strategies": ["one-a", "average"],
     "out_dir": "runs",
 }
 
-_STREAM_KEYS = tuple(k for k in _DEFAULT_SPEC.to_dict() if k != "seed")
-
 
 def _coerce(key: str, value):
-    """Validate a config value against the type of its default."""
-    default = RUN_DEFAULTS[key]
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{key}' must be a boolean, got {value!r}")
-        return value
-    if isinstance(default, int):
-        return check_int(f"config key '{key}'", value)
-    if isinstance(default, float):
-        return check_float(f"config key '{key}'", value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"config key '{key}' must be a string, got {value!r}")
-        return value
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"config key '{key}' must be a list of strings, got {value!r}")
-    return list(value)
+    """Check a value of the CLI's own keys; the config objects are the one
+    check of every other key's value."""
+    if key == "out_dir" and not isinstance(value, str):
+        raise ConfigError(f"config key 'out_dir' must be a string, got {value!r}")
+    if key == "strategies" and not (isinstance(value, list)
+                                    and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"config key 'strategies' must be a list of strings, got {value!r}")
+    return value
 
 
 def _read_text(path: str, what: str) -> str:
@@ -72,7 +60,7 @@ def _config_items(path: str | None, overrides: list[str] | None):
     if path is not None:
         try:
             loaded = json.loads(_read_text(path, "config file"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # past the digit or depth limit too
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
@@ -83,8 +71,8 @@ def _config_items(path: str | None, overrides: list[str] | None):
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+        except (ValueError, RecursionError):
+            value = raw  # a bareword; the key's own rule judges it
         yield key, value
 
 
@@ -97,29 +85,29 @@ def _load_run_config(path: str | None, overrides: list[str] | None) -> dict:
     return conf
 
 
-def _enum_value(enum_cls, raw: str, field: str):
+def _enum_value(enum_cls, raw, key: str):
     try:
         return enum_cls(raw)
     except ValueError:
         choices = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"config key '{field}' must be one of: {choices}; "
+        raise ConfigError(f"config key '{key}' must be one of: {choices}; "
                           f"got '{raw}'") from None
 
 
+def _config_object(cls, conf: dict):
+    """The cls that conf's flat keys spell; an enum field takes its value
+    from its default's enum, and cls checks every value."""
+    keys = config_keys(cls)
+    values = {name: conf[key] for name, key in keys.items()}
+    for f in fields(cls):
+        if isinstance(f.default, enum.Enum):
+            values[f.name] = _enum_value(type(f.default), values[f.name], keys[f.name])
+    return cls(**values)
+
+
 def _build_objects(conf: dict):
-    spec = StreamSpec(total_classes=conf["classes"], num_tasks=conf["tasks"],
-                      gamma=conf["gamma"],
-                      order=_enum_value(TaskOrder, conf["order"], "order"),
-                      samples_per_class=conf["samples_per_class"],
-                      seed=conf["stream_seed"])
-    train = TrainConfig(seed=conf["train_seed"],
-                        **{f.name: conf[f.name] for f in fields(TrainConfig)
-                           if f.name != "seed"})
-    merge_cfg = MergeConfig(quantile_q=conf["quantile_q"],
-                            sharpness_kappa=conf["kappa"], delta=conf["delta"],
-                            rank_eps=conf["rank_eps"],
-                            info_proxy=_enum_value(InfoProxy, conf["info_proxy"],
-                                                   "info_proxy"))
+    spec, train, merge_cfg = (_config_object(cls, conf)
+                              for cls in (StreamSpec, TrainConfig, MergeConfig))
     strategies = [_enum_value(Strategy, s, "strategies") for s in conf["strategies"]]
     if not strategies:
         raise ConfigError("config key 'strategies' must name at least one strategy")
@@ -139,7 +127,7 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_gen_stream(args) -> int:
-    spec = _build_objects({**RUN_DEFAULTS, **vars(args)})[0]
+    spec = _config_object(StreamSpec, vars(args))
     _dump_json(build_stream(spec).manifest(), args.out)
     return 0
 
@@ -170,7 +158,7 @@ def cmd_run(args) -> int:
 def cmd_merge(args) -> int:
     accumulated = load_module(args.accumulated)
     new = load_module(args.new)
-    merge_cfg = _build_objects({**RUN_DEFAULTS, **vars(args)})[2]
+    merge_cfg = _config_object(MergeConfig, vars(args))
     strategy = Strategy(args.strategy)
     merged, trace = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
     save_module(merged, args.out)  # an unwritable --out prints nothing
@@ -225,7 +213,7 @@ def cmd_compare(args) -> int:
         if other.stream_seed != first.stream_seed:
             raise ConfigError("reports come from different stream seeds "
                               f"({first.stream_seed} vs {other.stream_seed})")
-        for key in _STREAM_KEYS:
+        for key in config_keys(StreamSpec).values():
             if other.config.get(key) != first.config.get(key):
                 raise ConfigError(f"reports disagree on stream key '{key}'")
     rows = [_metrics_row(r) for r in reports]

@@ -87,7 +87,7 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # past the digit or depth limit too
             raise ConfigError(f"report is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("report must be a JSON object")

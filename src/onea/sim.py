@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
 from .merge import (MergeConfig, MergeTrace, _merge_traced, info_weights,
                     merge_average, merge_symmetric)
 from .metrics import RunReport
-from .stream import MAX_SEED, StreamSpec, Task, TaskStream
+from .stream import MAX_SEED, StreamSpec, Task, TaskStream, config_values
 
 BACKBONE_DIM = 32
 _INT64 = np.iinfo(np.int64)
@@ -463,21 +463,9 @@ def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
 
 def run_config(spec: StreamSpec, train: TrainConfig,
                merge_cfg: MergeConfig) -> dict:
-    """The flat `onea run` config that the three config objects spell.
-
-    Stream keys come from StreamSpec.to_dict, training keys are the
-    TrainConfig field names, merge keys are the MergeConfig field names
-    with sharpness_kappa as kappa and info_proxy as its value, and the two
-    seeds are stream_seed and train_seed.
-    """
-    stream = spec.to_dict()
-    stream["stream_seed"] = stream.pop("seed")
-    training = asdict(train)
-    training["train_seed"] = training.pop("seed")
-    merging = asdict(merge_cfg)
-    merging["kappa"] = merging.pop("sharpness_kappa")
-    merging["info_proxy"] = merge_cfg.info_proxy.value
-    return {**stream, **training, **merging}
+    """The flat `onea run` config that the three config objects spell, keyed
+    by stream.CONFIG_KEYS."""
+    return {**config_values(spec), **config_values(train), **config_values(merge_cfg)}
 
 
 class _StrategyRun:

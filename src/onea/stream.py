@@ -9,7 +9,7 @@ regenerated from the seed on demand and never serialized.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,27 @@ MEAN_RADIUS = 4.0      # class means are drawn uniformly on this sphere
 NOISE_SCALE = 1.0      # isotropic stddev around each class mean
 TRAIN_FRACTION = 0.8
 MAX_SEED = 2 ** 64 - 1  # seeds are numpy SeedSequence entropy: unsigned 64-bit
+
+# The one table between the fields of the config objects (StreamSpec here,
+# sim.TrainConfig, merge.MergeConfig) and their flat `onea run` keys, by
+# (class name, field); every field not listed is keyed by its own name.
+CONFIG_KEYS = {("StreamSpec", "total_classes"): "classes",
+               ("StreamSpec", "num_tasks"): "tasks",
+               ("StreamSpec", "seed"): "stream_seed",
+               ("TrainConfig", "seed"): "train_seed",
+               ("MergeConfig", "sharpness_kappa"): "kappa"}
+
+
+def config_keys(cls) -> dict:
+    """Field name -> flat config key, for each field of a config class."""
+    return {f.name: CONFIG_KEYS.get((cls.__name__, f.name), f.name)
+            for f in fields(cls)}
+
+
+def config_values(obj) -> dict:
+    """A config object's values under their flat keys, enums as their values."""
+    values = {key: getattr(obj, name) for name, key in config_keys(type(obj)).items()}
+    return {key: v.value if isinstance(v, enum.Enum) else v for key, v in values.items()}
 
 
 class TaskOrder(enum.Enum):
@@ -61,9 +82,9 @@ class StreamSpec:
                 f"train split leaves test samples, got {self.samples_per_class}")
 
     def to_dict(self) -> dict:
-        return {"classes": self.total_classes, "tasks": self.num_tasks,
-                "gamma": self.gamma, "order": self.order.value,
-                "samples_per_class": self.samples_per_class, "seed": self.seed}
+        """The manifest's spec: the stream's config values, where its one
+        seed needs no `stream_` prefix."""
+        return {k.removeprefix("stream_"): v for k, v in config_values(self).items()}
 
 
 @dataclass(frozen=True)

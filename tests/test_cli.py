@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onea import (InfoProxy, RunReport, Strategy, TaskOrder, load_module,
-                  save_module)
-from onea.cli import RUN_DEFAULTS, main
+from onea import (InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
+                  TaskOrder, TrainConfig, load_module, save_module)
+from onea.cli import RUN_DEFAULTS, _build_objects, main
 from onea.counters import SVD_CALLS
+from onea.sim import run_config
 
 from conftest import make_module
 
@@ -241,6 +242,61 @@ def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys
     assert not out.exists()
 
 
+# JSON values of the wrong type for each kind of run key, by its default's type
+_WRONG_TYPES = {int: ["2.5", "4.0", "true", '"3"'],
+                float: ["true", '"0.5"', "null", "NaN", "Infinity", "1" * 401],
+                bool: ["1"], str: ["5"], list: ['"one-a"']}
+
+
+@pytest.mark.parametrize("key,raw", [
+    pytest.param(key, raw, id=f"{key}={raw if len(raw) < 10 else '401-digits'}")
+    for key, default in RUN_DEFAULTS.items() for raw in _WRONG_TYPES[type(default)]])
+def test_each_run_key_rejects_a_wrong_type_before_out_dir(key, raw, tmp_path,
+                                                          monkeypatch, capsys):
+    # out_dir keeps its default, runs, under tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *RUN_ARGS, "--set", f"{key}={raw}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field", ["total_classes", "num_tasks", "samples_per_class",
+                                   "stream seed", "train seed", "sharpness_kappa"])
+def test_run_type_errors_name_the_field_rule(field, tmp_path, capsys):
+    key = {"total_classes": "classes", "num_tasks": "tasks", "stream seed": "stream_seed",
+           "train seed": "train_seed", "sharpness_kappa": "kappa"}.get(field, field)
+    out = tmp_path / "runs"
+    assert main(["run", "--set", f'{key}="x"', "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
+# JSON that json.loads cannot decode although it is well formed: nesting past
+# the recursion limit, and an integer past the 4300-digit conversion limit
+_UNDECODABLE = {"deep": "[" * 100000, "long-int": '{"classes": ' + "1" * 5000 + "}"}
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+def test_run_rejects_an_undecodable_config_file(text, tmp_path, capsys):
+    path, out = tmp_path / "conf.json", tmp_path / "runs"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file is not valid JSON") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["[" * 100000, "1" * 5000], ids=["deep", "long-int"])
+def test_run_set_reads_an_undecodable_value_as_a_bareword(raw, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--set", f"classes={raw}", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: total_classes must be an integer") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_large_beta_clamps_the_epoch_budget(tmp_path):
     # 1000th powers of the task-size ratios overflow a float; the head
     # tasks clamp to epochs_max and the tail tasks to epochs_min
@@ -444,6 +500,50 @@ def test_validated_small_configs_finish(conf):
         assert code == 0, err.getvalue()
 
 
+def _reals(low=None, high=None, **kwargs):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+_SEEDS = st.integers(0, 2 ** 64 - 1)
+
+
+@st.composite
+def _config_objects(draw):
+    classes = draw(st.integers(2, 500))
+    spec = StreamSpec(total_classes=classes, num_tasks=draw(st.integers(1, classes)),
+                      gamma=draw(_reals(0.0, 1.0, exclude_min=True)),
+                      order=draw(st.sampled_from(TaskOrder)),
+                      samples_per_class=draw(st.integers(3, 10 ** 6)),
+                      seed=draw(_SEEDS))
+    epochs_min = draw(st.integers(0, 100))
+    lambda_min = draw(_reals(0.0, 1.0))
+    train = TrainConfig(lr=draw(_reals(0.0, exclude_min=True)),
+                        epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
+                        epochs_max=draw(st.integers(epochs_min, 200)),
+                        beta=draw(_reals(0.0)), lambda_min=lambda_min,
+                        lambda_max=draw(_reals(lambda_min, 1.0)),
+                        k_decay=draw(_reals(0.0, exclude_min=True)),
+                        tau_margin=draw(_reals(0.0, 1.0, exclude_max=True)),
+                        batch_size=draw(st.integers(1, 512)),
+                        bottleneck=draw(st.integers(1, 64)),
+                        cosine_lr=draw(st.booleans()), seed=draw(_SEEDS))
+    merge_cfg = MergeConfig(quantile_q=draw(_reals(0.0, 1.0)),
+                            sharpness_kappa=draw(_reals(0.0, exclude_min=True)),
+                            delta=draw(_reals(0.0, exclude_min=True)),
+                            rank_eps=draw(_reals(0.0, 1.0, exclude_min=True,
+                                                 exclude_max=True)),
+                            info_proxy=draw(st.sampled_from(InfoProxy)))
+    return spec, train, merge_cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects=_config_objects())
+def test_the_key_table_round_trips(objects):
+    conf = run_config(*objects)
+    assert set(conf) == set(RUN_DEFAULTS) - {"strategies", "out_dir"}
+    assert _build_objects({**conf, "strategies": ["one-a"]})[:3] == objects
+
+
 # --------------------------------------------------------------- eval
 
 def _run_one(tmp_path):
@@ -470,6 +570,30 @@ def test_eval_error_exit_codes(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["eval", str(bad)]) == 2
     assert main(["eval", str(tmp_path / "absent.json")]) == 4
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+def test_eval_rejects_an_undecodable_report(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["eval", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: report is not valid JSON")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+def test_compare_rejects_an_undecodable_report(text, tmp_path, capsys):
+    good, bad, csv = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "t.csv"
+    good.write_text(json.dumps(_report_payload()))
+    bad.write_text(text)
+    assert main(["compare", str(good), str(bad), "--out-csv", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: report is not valid JSON")
+    assert captured.err.count("\n") == 1
+    assert not csv.exists()
 
 
 _MALFORMED = {

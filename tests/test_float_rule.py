@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from onea import ConfigError, MergeConfig, StreamSpec, TrainConfig, class_ratios
-from onea.cli import _coerce
 from onea.errors import check_float
 
 
@@ -32,7 +31,6 @@ _SLOTS = {
     "MergeConfig.delta": (lambda v: MergeConfig(delta=v).delta, 0.5),
     "MergeConfig.rank_eps": (lambda v: MergeConfig(rank_eps=v).rank_eps, 0.5),
     "class_ratios.gamma": (lambda v: float(class_ratios(3, v)[-1]), 0.5),
-    "cli.config_key": (lambda v: _coerce("lr", v), 0.5),
 }
 
 

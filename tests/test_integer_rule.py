@@ -7,7 +7,6 @@ import pytest
 
 from onea import (ConfigError, StreamSpec, TaskMeta, TrainConfig, class_ratios,
                   epoch_schedule, lambda_schedule, merge_average)
-from onea.cli import _coerce
 from onea.errors import check_int
 
 from conftest import make_module
@@ -55,7 +54,6 @@ _SLOTS = {
     "class_ratios.total_classes": (lambda v: tuple(class_ratios(v, 0.5)), 3),
     "merge_average.n_prev_tasks":
         (lambda v: merge_average(_NEW, _ACC, v).layers[0].tolist(), 3),
-    "cli.config_key": (lambda v: _coerce("batch_size", v), 3),
 }
 
 

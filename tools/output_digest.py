@@ -16,10 +16,13 @@ under one-a and could surface signed zeros under any, and for the three
 fold strategies on two bottleneck3 adapters, so a .onea header width taken
 from anything but the layers changes the bytes. It then reads the
 reports back: `onea eval` on every report of every run, and `onea compare`
-over each run's reports with the merge_ms column (wall time) masked; last,
-`onea gen-stream` writes three manifests, one of them balanced. Each case
-hashes its exit code, its stdout and stderr (output directory masked),
-each report's canonical_bytes() and every .onea file it wrote. Prints one
+over each run's reports with the merge_ms column (wall time) masked; then
+`onea gen-stream` writes three manifests, one of them balanced. Last come
+invocations that fail: `onea run` with a wrong type, a range error or an
+unknown key, and `onea merge` on a missing and on a truncated .onea file.
+Each case hashes its exit code, its stdout and stderr (output directory
+masked), each report's canonical_bytes() and every .onea file it wrote; a
+failing case hashes whether its output exists instead. Prints one
 sha256 per case and a total; two source trees that print the same total
 produce the same outputs on the matrix.
 
@@ -79,6 +82,11 @@ GEN_STREAM_CASES = {
                       "--gamma", "1.0", "--seed", "7"],
 }
 
+# --set flags that `onea run` rejects with exit 2 before it creates out_dir
+FAILING_RUN_SETTINGS = {"classes-float": "classes=2.5", "kappa-zero": "kappa=0",
+                        "kappa-string": 'kappa="x"', "order-int": "order=5",
+                        "unknown-key": "no_such_key=1"}
+
 
 def call_cli(main, argv: list[str], mask: Path) -> list[bytes]:
     """Call the CLI; return its exit code and its streams with mask's
@@ -103,6 +111,13 @@ def run_case(main, argv: list[str], out_dir: Path) -> bytes:
         elif path.suffix == ".onea":
             parts += [path.name.encode(), path.read_bytes()]
     return b"\0".join(parts)
+
+
+def fail_case(main, argv: list[str], output: Path, mask: Path) -> bytes:
+    """Call the CLI on an invocation that fails; return its exit code, its
+    masked streams and whether it left output behind."""
+    parts = call_cli(main, argv, mask)
+    return b"\0".join(parts + [f"output exists: {output.exists()}".encode()])
 
 
 def main() -> int:
@@ -156,6 +171,19 @@ def main() -> int:
         for name, flags in GEN_STREAM_CASES.items():
             record(f"gen-stream-{name}",
                    b"\0".join(call_cli(onea.cli.main, ["gen-stream", *flags], work)))
+        for name, setting in FAILING_RUN_SETTINGS.items():
+            out_dir = work / f"fail-run-{name}"
+            record(f"fail-run-{name}", fail_case(
+                onea.cli.main, ["run", "--set", setting, "--out-dir", str(out_dir)],
+                out_dir, work))
+        adapter = work / "run-default-s0" / "adapter-one-a.onea"
+        truncated = work / "truncated.onea"
+        truncated.write_bytes(adapter.read_bytes()[:-1])
+        for name, first in (("missing", work / "absent.onea"), ("truncated", truncated)):
+            out = work / f"fail-merge-{name}.onea"
+            record(f"fail-merge-{name}", fail_case(
+                onea.cli.main, ["merge", str(first), str(adapter), "--out", str(out)],
+                out, work))
     print("total", total.hexdigest())
     return 0
 
