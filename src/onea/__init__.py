@@ -10,7 +10,7 @@ from .merge import (GateVector, InfoProxy, MergeConfig, MergeTrace,
                     merge_average, merge_layer, merge_modules, merge_symmetric,
                     select_roles, thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
-                      weighted_average_accuracy)
+                      step_damage, weighted_average_accuracy)
 from .sim import (Backbone, PrototypeBank, Strategy, TrainConfig,
                   adapted_features, classify, classify_batch,
                   compute_prototypes, epoch_schedule, fold, lambda_schedule,

@@ -20,12 +20,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from .adapter import load_module, save_module
-from .errors import ConfigError, FormatError, NumericError, OneaError
+from .errors import ConfigError, FormatError, NumericError, OneaError, clip
 from .merge import InfoProxy, MergeConfig
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
-                      weighted_average_accuracy)
-from .sim import (FOLD_STRATEGIES, Strategy, TrainConfig, fold, run_config,
-                  run_strategies)
+                      step_damage, weighted_average_accuracy)
+from .sim import (FOLD_STRATEGIES, PER_TASK_STRATEGIES, Strategy, TrainConfig,
+                  fold, run_config, run_strategies)
 from .stream import StreamSpec, TaskOrder, build_stream, config_keys
 
 # every library default comes from the config dataclasses; only the
@@ -41,10 +41,12 @@ def _coerce(key: str, value):
     """Check a value of the CLI's own keys; the config objects are the one
     check of every other key's value."""
     if key == "out_dir" and not isinstance(value, str):
-        raise ConfigError(f"config key 'out_dir' must be a string, got {value!r}")
+        raise ConfigError("config key 'out_dir' must be a string, "
+                          f"got {clip(repr(value))}")
     if key == "strategies" and not (isinstance(value, list)
                                     and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"config key 'strategies' must be a list of strings, got {value!r}")
+        raise ConfigError("config key 'strategies' must be a list of strings, "
+                          f"got {clip(repr(value))}")
     return value
 
 
@@ -68,7 +70,7 @@ def _config_items(path: str | None, overrides: list[str] | None):
     for item in overrides or []:
         key, sep, raw = item.partition("=")
         if not sep:
-            raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
+            raise ConfigError(f"--set expects KEY=VALUE, got '{clip(item)}'")
         try:
             value = json.loads(raw)
         except (ValueError, RecursionError):
@@ -80,7 +82,7 @@ def _load_run_config(path: str | None, overrides: list[str] | None) -> dict:
     conf = dict(RUN_DEFAULTS)
     for key, value in _config_items(path, overrides):
         if key not in RUN_DEFAULTS:
-            raise ConfigError(f"unknown config key '{key}'")
+            raise ConfigError(f"unknown config key '{clip(key)}'")
         conf[key] = _coerce(key, value)
     return conf
 
@@ -91,7 +93,7 @@ def _enum_value(enum_cls, raw, key: str):
     except ValueError:
         choices = ", ".join(e.value for e in enum_cls)
         raise ConfigError(f"config key '{key}' must be one of: {choices}; "
-                          f"got '{raw}'") from None
+                          f"got '{clip(str(raw))}'") from None
 
 
 def _config_object(cls, conf: dict):
@@ -145,7 +147,7 @@ def cmd_run(args) -> int:
     for strategy, (report, adapters) in zip(strategies, results):
         report_path = out_dir / f"report-{strategy.value}.json"
         report_path.write_text(report.to_json() + "\n", encoding="utf-8")
-        if strategy is Strategy.PER_TASK:
+        if strategy in PER_TASK_STRATEGIES:
             for i, module in enumerate(adapters, start=1):
                 save_module(module, out_dir / f"adapter-{strategy.value}-t{i}.onea")
         else:
@@ -159,19 +161,19 @@ def cmd_merge(args) -> int:
     accumulated = load_module(args.accumulated)
     new = load_module(args.new)
     merge_cfg = _config_object(MergeConfig, vars(args))
-    strategy = Strategy(args.strategy)
-    merged, trace = fold(strategy, accumulated, new, args.n_prev, merge_cfg)
+    merged, trace = fold(Strategy(args.strategy), accumulated, new, args.n_prev,
+                         merge_cfg)
     save_module(merged, args.out)  # an unwritable --out prints nothing
-    if strategy is Strategy.ONE_A:
+    if trace is None:
+        print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
+    elif trace.layers[0][0] is None:  # no rank taken: one blend of both blocks
+        _, w_b, w_a = trace.layers[0]
+        print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
+    else:
         print(f"base: task {trace.base.task_id} ({trace.base.sample_count} samples), "
               f"align: task {trace.align.task_id} ({trace.align.sample_count} samples)")
         for i, (rank, w_b, w_a) in enumerate(trace.layers):
             print(f"layer {i}: effective rank {rank}, w_b={w_b:.6f}, w_a={w_a:.6f}")
-    elif strategy is Strategy.SYMMETRIC:
-        _, w_b, w_a = trace.layers[0]
-        print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
-    else:
-        print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
     print(f"wrote {args.out}")
     return 0
 
@@ -216,9 +218,25 @@ def cmd_compare(args) -> int:
         for key in config_keys(StreamSpec).values():
             if other.config.get(key) != first.config.get(key):
                 raise ConfigError(f"reports disagree on stream key '{key}'")
+    # the floor, cosine nearest-prototype on a backbone that the train seed
+    # draws, is a reference only for reports of the same seed and length
+    floor = next((r for r in reports if r.strategy == "backbone"), None)
+    for other in reports if floor is not None else ():
+        if other.train_seed != floor.train_seed:
+            raise ConfigError(f"the backbone report has train seed {floor.train_seed}, "
+                              f"the {other.strategy} report {other.train_seed}")
+        if len(other.step_acc) != len(floor.step_acc):
+            raise ConfigError(f"the backbone report holds {len(floor.step_acc)} steps, "
+                              f"the {other.strategy} report {len(other.step_acc)}")
     rows = [_metrics_row(r) for r in reports]
     header = ["strategy", "last_accuracy", "avg_accuracy",
               "weighted_avg_accuracy", "forgetting", "svd_calls", "merge_ms"]
+    if floor is not None:  # each step's damage beyond the floor's, before svd_calls
+        floor_damage = step_damage(floor)
+        header[5:5] = [f"excess_damage_{k}" for k in range(1, len(floor_damage))]
+        for row, report in zip(rows, reports):
+            row.update({f"excess_damage_{k}": damage - floor_damage[k]
+                        for k, damage in enumerate(step_damage(report)) if k})
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row[k]) for k in header) for row in rows]
     payload = {"schema_version": 1, "stream_seed": first.stream_seed, "rows": rows}

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and check_int and
 check_float, the one rule each for integer and float fields and arguments.
+Their messages quote a rejected value cut by clip, so an error stays one
+short line whatever the value.
 
 The CLI maps these onto exit codes: ConfigError and ShapeError are user
 errors (exit 2), NumericError and its subclasses are numeric failures
@@ -38,6 +40,11 @@ class TrainingError(NumericError):
     """Training diverged; the message echoes seed and config for replay."""
 
 
+def clip(text: str, limit: int = 40) -> str:
+    """text, cut to limit characters with an ellipsis if longer."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def check_int(name: str, value, low: int | None = None,
               high: int | None = None) -> int:
     """The package's one integer rule: value must be a Python or numpy
@@ -45,11 +52,11 @@ def check_int(name: str, value, low: int | None = None,
     returns it as a Python int."""
     if type(value) is not int:  # plain ints skip the slow numbers.Integral check
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {clip(repr(value))}")
         value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
         bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
-        raise ConfigError(f"{name} must {bounds}, got {value}")
+        raise ConfigError(f"{name} must {bounds}, got {clip(str(value))}")
     return value
 
 
@@ -59,7 +66,7 @@ def check_float(name: str, value) -> float:
     Python float. Range checks stay with each field."""
     if type(value) is not float:  # plain floats skip the slow numbers.Real check
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+            raise ConfigError(f"{name} must be a number, got {clip(repr(value))}")
         try:
             value = float(value)
         except OverflowError:

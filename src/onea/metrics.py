@@ -137,6 +137,18 @@ def forgetting(report: RunReport) -> float | None:
                           for j, row in enumerate(report.acc_matrix[:-1])]))
 
 
+def step_damage(report: RunReport) -> list[float | None]:
+    """Mean accuracy drop on the earlier tasks at each step.
+
+    Entry k >= 1 is the mean over tasks j < k of acc[j][k-1] - acc[j][k]:
+    what absorbing task k cost the tasks before it (negative if it helped).
+    Entry 0 is None, since no task precedes the first.
+    """
+    acc = report.acc_matrix
+    return [None] + [float(np.mean([acc[j][k - 1] - acc[j][k] for j in range(k)]))
+                     for k in range(1, len(acc))]
+
+
 def weighted_average_accuracy(report: RunReport) -> float:
     """Step accuracies weighted by the cumulative class count at each step.
 

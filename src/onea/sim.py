@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ class Strategy(enum.Enum):
     SYMMETRIC = "symmetric"
     PER_TASK = "per-task"
     SINGLE_FINETUNE = "single-finetune"
+    BACKBONE = "backbone"
 
 
 @dataclass(frozen=True)
@@ -427,7 +429,28 @@ def _predict_across_banks(h, adapters, banks, best=None
     return best
 
 
-FOLD_STRATEGIES = (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC)
+def _fold_symmetric(acc, new, n_prev, cfg):
+    w_b, w_a = info_weights(acc.meta, new.meta, acc.layers[0], new.layers[0], cfg)
+    trace = MergeTrace(base=acc.meta, align=new.meta,
+                       layers=((None, w_b, w_a),) * len(acc.layers))
+    return merge_symmetric(new, acc, w_b, w_a, cfg), trace
+
+
+# How each strategy absorbs a task: its fold rule, (carried, new, n_prev,
+# cfg) -> (module, MergeTrace | None), or None; the adapter it absorbs: the
+# task's "fresh" one, its carried one "continued" on the task, or the
+# "identity" (zero w_down and w_up); and whether it keeps one member per task.
+_Rule = namedtuple("_Rule", "fold absorbs per_task", defaults=("fresh", False))
+_RULES = {
+    Strategy.ONE_A: _Rule(lambda acc, new, n, cfg: _merge_traced(new, acc, cfg)),
+    Strategy.AVERAGE: _Rule(lambda acc, new, n, cfg: (merge_average(new, acc, n), None)),
+    Strategy.SYMMETRIC: _Rule(_fold_symmetric),
+    Strategy.PER_TASK: _Rule(None, per_task=True),
+    Strategy.SINGLE_FINETUNE: _Rule(None, "continued"),
+    Strategy.BACKBONE: _Rule(None, "identity"),
+}
+FOLD_STRATEGIES = tuple(s for s, rule in _RULES.items() if rule.fold)
+PER_TASK_STRATEGIES = tuple(s for s, rule in _RULES.items() if rule.per_task)
 
 
 def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
@@ -450,15 +473,7 @@ def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
                           f"got '{getattr(strategy, 'value', strategy)}'")
     if carried is None:
         return new, None
-    if strategy is Strategy.ONE_A:
-        return _merge_traced(new, carried, merge_cfg)
-    if strategy is Strategy.AVERAGE:
-        return merge_average(new, carried, n_prev), None
-    w_b, w_a = info_weights(carried.meta, new.meta, carried.layers[0],
-                            new.layers[0], merge_cfg)
-    trace = MergeTrace(base=carried.meta, align=new.meta,
-                       layers=((None, w_b, w_a),) * len(carried.layers))
-    return merge_symmetric(new, carried, w_b, w_a, merge_cfg), trace
+    return _RULES[strategy].fold(carried, new, n_prev, merge_cfg)
 
 
 def run_config(spec: StreamSpec, train: TrainConfig,
@@ -481,7 +496,7 @@ class _StrategyRun:
 
     def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone,
                  merge_cfg: MergeConfig):
-        self.strategy = strategy
+        self.strategy, self.rule = strategy, _RULES[strategy]
         self.backbone, self.merge_cfg = backbone, merge_cfg
         self.adapters: list[AdapterModule] = []
         self.banks: list[PrototypeBank] = []
@@ -496,11 +511,9 @@ class _StrategyRun:
              eval_h: np.ndarray, eval_y: np.ndarray, widths: list[int]) -> None:
         """Absorb task idx, record prototypes for its classes and score all
         test data seen so far, given as its backbone features eval_h (the
-        new task's rows last). new is the task's freshly trained adapter,
-        or for single-finetune past the first task its carried adapter
-        trained on the task."""
+        new task's rows last). new is the adapter that the rule absorbs."""
         carried = self.adapters[0] if self.adapters else None
-        if self.strategy in FOLD_STRATEGIES:
+        if self.rule.fold:
             svd_start = SVD_CALLS.value
             tick = time.perf_counter()
             adapter, _ = fold(self.strategy, carried, new, idx, self.merge_cfg)
@@ -512,7 +525,7 @@ class _StrategyRun:
 
         fresh = compute_prototypes(adapter, self.backbone, task.data,
                                    class_ids=task.meta.class_ids)
-        if carried is None or self.strategy is Strategy.PER_TASK:
+        if carried is None or self.rule.per_task:
             self.adapters.append(adapter)
             self.banks.append(fresh)
         else:
@@ -525,7 +538,7 @@ class _StrategyRun:
                                         self.adapters[:-1], self.banks[:-1])
             kept = tuple(np.concatenate(pair) for pair in zip(self.best, old))
         best = _predict_across_banks(eval_h, self.adapters[-1:], self.banks[-1:], kept)
-        if self.strategy is Strategy.PER_TASK:
+        if self.rule.per_task:
             self.best = best
         correct = best[1] == eval_y
         self.step_acc.append(float(np.mean(correct)))
@@ -540,12 +553,12 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
                    ) -> list[tuple[RunReport, list[AdapterModule]]]:
     """Run one continual-learning pass over the stream for several strategies.
 
-    Each task is trained once: one train_task call trains the task's fresh
-    adapter and, for single-finetune past the first task, the continuation
-    of its carried adapter, in one stacked pass over the task's batches.
-    Every strategy in turn then absorbs its adapter (fold, append, or
-    replace with the continuation), records prototypes for the task's
-    classes under its current model, and measures accuracy
+    Each task is trained at most once: one train_task call trains the
+    task's fresh adapter and, for single-finetune past the first task, the
+    continuation of its carried adapter, in one stacked pass over its
+    batches. Every strategy then absorbs the adapter its rule names (fold,
+    append, or replace), records prototypes for the task's classes under
+    its current model, and measures accuracy
     task-agnostically over all test data seen so far. Each report is
     bit-reproducible given (stream seed, train seed, config, strategy) and
     does not depend on which other strategies share the pass or their
@@ -572,24 +585,25 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
 
     started = time.perf_counter()
     runs = [_StrategyRun(s, t_total, backbone, merge_cfg) for s in strategies]
-    # single-finetune uses a fresh adapter only for the first task; every
-    # single-finetune run carries the same adapter, so one continuation serves all
-    finetune = next((run for run in runs
-                     if run.strategy is Strategy.SINGLE_FINETUNE), None)
-    fresh_every_task = any(s is not Strategy.SINGLE_FINETUNE for s in strategies)
+    # a continuing run starts from a fresh adapter at the first task; every
+    # continuing run carries the same adapter, so one continuation serves all
+    absorbs = {run.rule.absorbs for run in runs}
+    finetune = next((run for run in runs if run.rule.absorbs == "continued"), None)
+    zeros = np.zeros((BACKBONE_DIM, cfg.bottleneck))  # the identity's w_down and w_up.T
     for idx, task in enumerate(stream.tasks):
-        inits = [None] if idx == 0 or fresh_every_task else []
+        inits = [None] if "fresh" in absorbs or (idx == 0 and finetune) else []
         if finetune is not None and idx > 0:
             inits.append(finetune.adapters[0])
-        trained = train_task(task, backbone, cfg, inits, t0=t0)
-        new, continued = trained[0], trained[-1]
+        trained = train_task(task, backbone, cfg, inits, t0=t0) if inits else [None]
+        identity = AdapterModule(layers=(zeros, zeros.T), meta=task.meta) \
+            if "identity" in absorbs else None
+        new = {"fresh": trained[0], "continued": trained[-1], "identity": identity}
         seen = stream.tasks[:idx + 1]
         eval_h = backbone.features(np.concatenate([t.data.test_x for t in seen]))
         eval_y = np.concatenate([t.data.test_y for t in seen])
         widths = [t.data.test_x.shape[0] for t in seen]
         for run in runs:
-            absorbed = continued if run.strategy is Strategy.SINGLE_FINETUNE else new
-            run.step(idx, task, absorbed, eval_h, eval_y, widths)
+            run.step(idx, task, new[run.rule.absorbs], eval_h, eval_y, widths)
     total_s = time.perf_counter() - started
 
     config_echo = run_config(spec, cfg, merge_cfg)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onea import (InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
-                  TaskOrder, TrainConfig, load_module, save_module)
+                  TaskOrder, TrainConfig, load_module, save_module, step_damage)
 from onea.cli import RUN_DEFAULTS, _build_objects, main
 from onea.counters import SVD_CALLS
 from onea.sim import run_config
@@ -115,8 +115,26 @@ def test_run_per_task_writes_one_adapter_per_task(tmp_path):
     assert (out / "adapter-per-task-t2.onea").exists()
 
 
+def test_run_per_task_names_its_adapter_by_task_on_a_one_task_stream(tmp_path):
+    out = tmp_path / "runs"
+    argv = ["run", *RUN_ARGS, "--set", "tasks=1",
+            "--set", 'strategies=["per-task", "average"]', "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.glob("*.onea")) == \
+        ["adapter-average.onea", "adapter-per-task-t1.onea"]
+
+
+def test_run_backbone_writes_one_identity_adapter(tmp_path):
+    out = tmp_path / "runs"
+    argv = ["run", *RUN_ARGS, "--set", 'strategies=["backbone"]', "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["adapter-backbone.onea", "report-backbone.json"]
+    assert not any(w.any() for w in load_module(out / "adapter-backbone.onea").layers)
+
+
 def test_run_all_strategies_matches_single_strategy_runs(tmp_path):
-    names = ["one-a", "average", "symmetric", "per-task", "single-finetune"]
+    names = ["one-a", "average", "symmetric", "per-task", "single-finetune", "backbone"]
     shared = tmp_path / "shared"
     argv = ["run", *RUN_ARGS, "--set", "tasks=3"]
     assert main(argv + ["--set", f"strategies={json.dumps(names)}",
@@ -393,6 +411,15 @@ def test_merge_average_and_symmetric(tmp_path, capsys):
     outputs = [load_module(tmp_path / f"{s}.onea").layers[0]
                for s in ("average", "symmetric")]
     assert np.linalg.norm(outputs[0] - outputs[1]) > 0.0
+
+
+def test_merge_rejects_the_backbone_strategy(tmp_path, capsys):
+    pa, pb = _two_modules(tmp_path)
+    out = tmp_path / "merged.onea"
+    assert main(["merge", str(pa), str(pb), "--out", str(out),
+                 "--strategy", "backbone"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_merge_error_exit_codes(tmp_path, capsys):
@@ -711,6 +738,79 @@ def test_compare_rejects_mismatched_streams(tmp_path, capsys):
     assert main(["compare", str(out / "report-one-a.json"),
                  str(other_shape)]) == 2
     assert "stream" in capsys.readouterr().err
+
+
+def _floor_run(tmp_path, train_seed=0):
+    out = tmp_path / f"floor-{train_seed}"
+    assert main(["run", *RUN_ARGS, "--set", "tasks=3", "--set", f"train_seed={train_seed}",
+                 "--set", 'strategies=["one-a", "backbone"]', "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_compare_adds_excess_damage_over_a_backbone_report(tmp_path, capsys):
+    out = _floor_run(tmp_path)
+    reports = [RunReport.from_json((out / f"report-{name}.json").read_text())
+               for name in ("one-a", "backbone")]
+    capsys.readouterr()
+    assert main(["compare", str(out / "report-one-a.json"),
+                 str(out / "report-backbone.json"), "--out-json", "-"]) == 0
+    table, dumped = capsys.readouterr().out.split("\n{", 1)
+    header, *lines = table.splitlines()
+    assert header == ("strategy,last_accuracy,avg_accuracy,weighted_avg_accuracy,"
+                      "forgetting,excess_damage_1,excess_damage_2,svd_calls,merge_ms")
+    rows = json.loads("{" + dumped)["rows"]
+    for k in (1, 2):
+        one_a, floor = (step_damage(report)[k] for report in reports)
+        assert rows[0][f"excess_damage_{k}"] == one_a - floor
+        assert rows[1][f"excess_damage_{k}"] == 0.0
+    assert [line.split(",")[5:7] for line in lines] == \
+        [[f"{row[f'excess_damage_{k}']:.6f}" for k in (1, 2)] for row in rows]
+
+
+def test_compare_rejects_a_backbone_report_of_another_train_seed(tmp_path, capsys):
+    one_a, floor = _floor_run(tmp_path, 0), _floor_run(tmp_path, 1)
+    capsys.readouterr()
+    argv = ["compare", str(one_a / "report-one-a.json"), str(floor / "report-backbone.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the backbone report has train seed 1, "
+                            "the one-a report 0\n")
+    # without a backbone report, reports of two train seeds still compare
+    assert main(["compare", str(one_a / "report-one-a.json"),
+                 str(floor / "report-one-a.json")]) == 0
+
+
+def test_compare_rejects_a_backbone_report_of_another_length(tmp_path, capsys):
+    one_a, floor = tmp_path / "one-a.json", tmp_path / "backbone.json"
+    one_a.write_text(json.dumps(_report_payload()))
+    floor.write_text(json.dumps(_report_payload(
+        strategy="backbone", class_counts=[2, 1, 1], step_acc=[0.5, 0.5, 0.5],
+        acc_matrix=[[0.5, 0.5, 0.5], [None, 0.5, 0.5], [None, None, 0.5]])))
+    assert main(["compare", str(one_a), str(floor)]) == 2
+    assert capsys.readouterr().err == ("error: the backbone report holds 3 steps, "
+                                       "the one-a report 2\n")
+
+
+# --set flags whose rejected value or key is 100000 characters long
+_LONG_SETTINGS = {"int": "classes=" + "[" * 100000,
+                  "int-range": "stream_seed=" + "9" * 4000,
+                  "float": "kappa=" + "[" * 100000,
+                  "enum": "order=" + "[" * 100000,
+                  "strategies": "strategies=" + json.dumps([1] * 100000),
+                  "out_dir": "out_dir=" + json.dumps([1] * 100000),
+                  "missing-equals": "x" * 100000,
+                  "unknown-key": "x" * 100000 + "=1"}
+
+
+@pytest.mark.parametrize("setting", _LONG_SETTINGS.values(), ids=_LONG_SETTINGS.keys())
+def test_run_error_line_stays_short_for_a_long_value(setting, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["run", "--set", setting, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err) < 200 and "..." in err, err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- README

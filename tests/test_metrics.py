@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from onea import (ConfigError, RunReport, average_accuracy, forgetting,
-                  last_accuracy, weighted_average_accuracy)
+                  last_accuracy, step_damage, weighted_average_accuracy)
 
 
 def _report(**kwargs):
@@ -146,6 +146,19 @@ def test_forgetting_rejects_incomplete_matrix():
         _report(acc_matrix=[[1.0, None, 0.5],
                             [None, 0.75, 0.75],
                             [None, None, 1.0]])
+
+
+def test_step_damage_hand_values():
+    # step 1: task 0 drops 1.0 -> 0.75; step 2: task 0 drops 0.75 -> 0.5 and
+    # task 1 holds at 0.75, so the mean drop is (0.25 + 0) / 2
+    assert step_damage(_report()) == [None, 0.25, 0.125]
+    # a task that improves counts as negative damage
+    gained = _report(acc_matrix=[[0.5, 0.75, 0.5],
+                                 [None, 0.5, 1.0],
+                                 [None, None, 1.0]])
+    assert step_damage(gained) == [None, -0.25, -0.125]
+    single = _report(class_counts=[2], acc_matrix=[[0.5]], step_acc=[0.5])
+    assert step_damage(single) == [None]
 
 
 def test_weighted_average_accuracy_hand_value():

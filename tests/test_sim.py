@@ -630,7 +630,7 @@ def test_run_sequence_report_shape():
 def test_run_sequence_svd_budget_per_strategy():
     stream = _tiny_stream()
     budget = {Strategy.ONE_A: 2, Strategy.AVERAGE: 0, Strategy.SYMMETRIC: 2,
-              Strategy.PER_TASK: 0, Strategy.SINGLE_FINETUNE: 0}
+              Strategy.PER_TASK: 0, Strategy.SINGLE_FINETUNE: 0, Strategy.BACKBONE: 0}
     for strategy, want in budget.items():
         report = run_sequence(stream, strategy, QUICK)
         assert report.svd_calls == want, strategy
@@ -660,6 +660,18 @@ def test_run_sequence_single_finetune_keeps_last_meta():
     _, modules = run_sequence(stream, Strategy.SINGLE_FINETUNE, QUICK,
                               return_adapters=True)
     assert modules[0].meta == stream.tasks[-1].meta
+
+
+def test_run_sequence_backbone_deploys_the_identity_adapter():
+    stream = _tiny_stream(total_classes=6, num_tasks=3)
+    report, (module,) = run_sequence(stream, Strategy.BACKBONE, QUICK,
+                                     return_adapters=True)
+    assert [w.shape for w in module.layers] == [(sim.BACKBONE_DIM, 4),
+                                                (4, sim.BACKBONE_DIM)]
+    assert not any(w.any() for w in module.layers)
+    assert module.meta == stream.tasks[-1].meta
+    assert report.strategy == "backbone" and report.svd_calls == 0
+    assert report.timings["merge_ms"] == [0.0] * 3
 
 
 def test_run_sequence_single_task_stream():
@@ -696,6 +708,8 @@ def test_run_strategies_matches_run_sequence_per_strategy(order):
     ([Strategy.PER_TASK, Strategy.ONE_A], ["fresh", "fresh", "fresh"]),
     ([Strategy.SINGLE_FINETUNE, Strategy.ONE_A, Strategy.SINGLE_FINETUNE],
      ["fresh", "fresh+continued", "fresh+continued"]),
+    ([Strategy.BACKBONE], []),
+    ([Strategy.BACKBONE, Strategy.SINGLE_FINETUNE], ["fresh", "continued", "continued"]),
 ])
 def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, stacks):
     calls = []
@@ -841,6 +855,21 @@ def test_zero_updates_fold_like_any_other():
         assert report.acc_matrix == reports[0].acc_matrix
 
 
+@pytest.mark.parametrize("order", [TaskOrder.PERMUTED_HEAD_TAIL, TaskOrder.DESCENDING])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_zero_epochs_match_the_backbone_floor(order, seed):
+    # no epoch leaves every w_up at zero, so every strategy's adapter is
+    # the identity and scores exactly as the backbone strategy does
+    stream = build_stream(StreamSpec(total_classes=20, num_tasks=5, order=order,
+                                     seed=seed))
+    cfg = TrainConfig(epochs_min=0, epochs_max=0, seed=seed)
+    results = run_strategies(stream, list(Strategy), cfg)
+    floor = results[list(Strategy).index(Strategy.BACKBONE)][0]
+    for report, _ in results:
+        assert report.step_acc == floor.step_acc, report.strategy
+        assert report.acc_matrix == floor.acc_matrix, report.strategy
+
+
 def test_fold_first_task_and_non_merge_strategies():
     rng = np.random.default_rng(3)
     new = make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))])
@@ -848,7 +877,8 @@ def test_fold_first_task_and_non_merge_strategies():
     for strategy in (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC):
         folded, trace = fold(strategy, None, new, 0, cfg)
         assert folded is new and trace is None
-    for strategy in (Strategy.PER_TASK, Strategy.SINGLE_FINETUNE, "one-a"):
+    for strategy in (Strategy.PER_TASK, Strategy.SINGLE_FINETUNE,
+                     Strategy.BACKBONE, "one-a"):
         with pytest.raises(ConfigError):
             fold(strategy, new, new, 1, cfg)
 

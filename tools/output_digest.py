@@ -1,11 +1,13 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on eleven configs x stream/train seeds {0, 3}, eight with all
-five strategies and three with a single one (single-finetune alone trains
-only the continuation past the first task, per-task alone only fresh
-adapters; per-task-one-row has one test row per task, so every test block
-is scored through the single-row product path; zero-updates trains no
-epoch, so every w_up stays zero and both frobenius proxies are 0;
+Runs `onea run` on twelve configs x stream/train seeds {0, 3}, eight with
+the five strategies other than backbone and four with a single one
+(single-finetune alone trains only the continuation past the first task,
+per-task alone only fresh adapters; per-task-one-row has one test row per
+task, so every test block is scored through the single-row product path;
+backbone alone trains nothing, and its compare adds the excess-damage
+columns; zero-updates trains no epoch, so every w_up stays zero and both
+frobenius proxies are 0;
 bottleneck3 is the one config whose adapters are not 8 wide), then
 `onea merge` for the three fold strategies on adapters from those runs,
 for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
@@ -54,6 +56,7 @@ CONFIGS = {
                         "batch_size": 1},
     "single-finetune-only": {"strategies": ["single-finetune"]},
     "per-task-only": {"strategies": ["per-task"]},
+    "backbone-only": {"strategies": ["backbone"]},
     "per-task-one-row": {"classes": 12, "tasks": 12, "samples_per_class": 3,
                          "batch_size": 4, "strategies": ["per-task"]},
     "zero-updates": {"epochs_min": 0, "epochs_max": 0, "info_proxy": "frobenius"},
