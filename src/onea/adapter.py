@@ -106,9 +106,8 @@ class AdapterModule:
 
 def mergeable(a: AdapterModule, b: AdapterModule) -> bool:
     """Modules merge iff layer counts and per-layer shapes match exactly."""
-    if len(a.layers) != len(b.layers):
-        return False
-    return all(x.shape == y.shape for x, y in zip(a.layers, b.layers))
+    return len(a.layers) == len(b.layers) and all(
+        x.shape == y.shape for x, y in zip(a.layers, b.layers))
 
 
 def adapter_forward(h: np.ndarray, w_down: np.ndarray, w_up: np.ndarray) -> np.ndarray:

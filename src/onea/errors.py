@@ -55,7 +55,8 @@ def check_int(name: str, value, low: int | None = None,
             raise ConfigError(f"{name} must be an integer, got {clip(repr(value))}")
         value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        bounds = (f"be >= {low}" if high is None
+                  else f"lie in [{low}, {clip(str(high))}]")
         raise ConfigError(f"{name} must {bounds}, got {clip(str(value))}")
     return value
 

@@ -1,9 +1,9 @@
 """Singular-direction merging of adapter modules.
 
-One module pair is merged by decomposing the base update, expressing the
-other update in the base's left singular frame, blending the right factors
-under information weights, and gating each singular direction so dominant
-directions stay close to the base; a MergeTrace records what it decided.
+One module pair is merged by decomposing the base update and moving it by
+a gated projection of the information-weighted update onto the base's left
+singular directions, so dominant directions stay close to the base; a
+MergeTrace records what it decided.
 Two baselines live here as well: a running average and a symmetric
 concat-then-SVD merge, which works out to a linear blend of the two.
 """
@@ -111,10 +111,10 @@ def _effective_rank(s: np.ndarray, rank_eps: float) -> int:
 
 def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD (U, sigma, V) of a checked matrix, counted in SVD_CALLS,
-    with LAPACK's column signs. Merges use it directly: each merged layer
-    is a product U @ diag(sigma) @ (...).T in which a column's sign
-    appears twice, and flipping a sign is exact, so the signs never reach
-    a merged byte."""
+    with LAPACK's column signs. Merges use it directly: in one-a's
+    (U * g) @ (rows of U.T @ align_w and diag(sigma) @ V.T) and symmetric's
+    U @ diag(sigma) @ (...).T, a column's sign appears twice, and flipping
+    a sign is exact, so the signs never reach a merged byte."""
     try:
         u, s, vt = np.linalg.svd(w, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -126,8 +126,7 @@ def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def thin_svd(w: np.ndarray) -> SingularDecomposition:
     """Thin SVD of w with LAPACK's factors and signs, made read-only."""
     u, s, v = _svd(as_matrix(w, "w"))
-    for arr in (u, s, v):
-        arr.flags.writeable = False
+    u.flags.writeable = s.flags.writeable = v.flags.writeable = False
     return SingularDecomposition(U=u, sigma=s, V=v)
 
 
@@ -222,13 +221,13 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
                 cfg: MergeConfig, gate: GateVector | None = None) -> np.ndarray:
     """Merge one layer pair of matrices with base/align roles fixed.
 
-    One thin SVD of base_w; V_aligned[:, i] = align_w.T @ U[:, i] / sigma_i
-    within the effective rank and 0 past it, so noise-level directions
-    never amplify align_w; V_fused = w_b * V + w_a * V_aligned; the result
-    is U @ diag(sigma) @ V_final.T where column i of V_final is
-    V[:, i] + g_i * (V_fused[:, i] - V[:, i]). An all-zero base has rank 0,
-    so nothing of align_w passes and the zero base comes back (average and
-    symmetric keep part of align_w there). w_b and w_a lie in [0, 1].
+    One thin SVD base_w = U @ diag(sigma) @ V.T, effective rank k, gate g;
+    with E_k zeroing the rows past k, the result is base_w + U @ diag(g) @
+    (w_a * E_k @ U.T @ align_w - (1 - w_b) * diag(sigma) @ V.T): a gated
+    projection of the update onto base_w's column space. An all-zero gate
+    returns base_w; an all-zero base has rank 0, so nothing of align_w
+    passes and the zero base comes back (average and symmetric keep part
+    of align_w there). w_b and w_a lie in [0, 1].
 
     Args:
         gate: optional override of the spectrum-derived gate, used to probe
@@ -250,12 +249,10 @@ def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
     size; returns the merged layer and the base's effective rank."""
     u, s, v = _svd(base_w)
     k = _effective_rank(s, cfg.rank_eps)
-    v_aligned = np.zeros_like(v)
-    v_aligned[:, :k] = (align_w.T @ u[:, :k]) / s[:k]
-    v_fused = w_b * v + w_a * v_aligned
     g = _gate(s, cfg, k) if gate is None else gate.g
-    v_final = v + (v_fused - v) * g[None, :]
-    return (u * s) @ v_final.T, k
+    update = (w_b - 1.0) * (s[:, None] * v.T)
+    update[:k] += w_a * (u[:, :k].T @ align_w)
+    return base_w + (u * g) @ update, k
 
 
 def _check_mergeable(new: AdapterModule, accumulated: AdapterModule) -> None:
@@ -298,7 +295,8 @@ def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
 def merge_average(new: AdapterModule, accumulated: AdapterModule,
                   n_prev_tasks: int) -> AdapterModule:
     """Running per-entry mean: (n * accumulated + new) / (n + 1)."""
-    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1)
+    # the high bound is the largest integer that float() rounds to a finite value
+    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1, 2**1024 - 2**970 - 1)
     _check_mergeable(new, accumulated)
     n = float(n_prev_tasks)
     layers = [(n * acc + cur) / (n + 1.0)

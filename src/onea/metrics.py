@@ -3,19 +3,30 @@
 The accuracy matrix is lower triangular in (task, step): entry [j][k] is
 the accuracy on task j's test data after finishing step k, defined for
 k >= j. step_acc[k] is the accuracy over all test data seen through k.
+Strategy lives here, with the report that checks the name it carries.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, clip
 
 SCHEMA_VERSION = 1
+
+
+class Strategy(enum.Enum):
+    ONE_A = "one-a"
+    AVERAGE = "average"
+    SYMMETRIC = "symmetric"
+    PER_TASK = "per-task"
+    SINGLE_FINETUNE = "single-finetune"
+    BACKBONE = "backbone"
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,9 @@ class RunReport:
                 != SCHEMA_VERSION:
             raise ConfigError(f"report field 'schema_version' must be {SCHEMA_VERSION}, "
                               f"got {self.schema_version}")
+        if self.strategy not in (names := [s.value for s in Strategy]):
+            raise ConfigError(f"report field 'strategy' must be one of: {', '.join(names)}; "
+                              f"got {clip(repr(self.strategy))}")
         for name in ("stream_seed", "train_seed", "svd_calls"):
             check_int(f"report field '{name}'", getattr(self, name), 0)
         steps = self.step_acc

@@ -9,7 +9,6 @@ the adapter and the prototype bank survive a task.
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from collections import namedtuple
@@ -23,20 +22,11 @@ from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
                      check_float, check_int)
 from .merge import (MergeConfig, MergeTrace, _merge_traced, info_weights,
                     merge_average, merge_symmetric)
-from .metrics import RunReport
+from .metrics import RunReport, Strategy
 from .stream import MAX_SEED, StreamSpec, Task, TaskStream, config_values
 
 BACKBONE_DIM = 32
 _INT64 = np.iinfo(np.int64)
-
-
-class Strategy(enum.Enum):
-    ONE_A = "one-a"
-    AVERAGE = "average"
-    SYMMETRIC = "symmetric"
-    PER_TASK = "per-task"
-    SINGLE_FINETUNE = "single-finetune"
-    BACKBONE = "backbone"
 
 
 @dataclass(frozen=True)
@@ -363,9 +353,7 @@ class PrototypeBank:
         object.__setattr__(self, "_matrix", (ids, normed))
 
     def updated(self, other: "PrototypeBank") -> "PrototypeBank":
-        protos = dict(self.prototypes)
-        protos.update(other.prototypes)
-        return PrototypeBank(prototypes=protos)
+        return PrototypeBank(prototypes={**self.prototypes, **other.prototypes})
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Class ids (ascending) and the row-normalized prototype matrix."""

@@ -413,6 +413,30 @@ def test_merge_average_and_symmetric(tmp_path, capsys):
     assert np.linalg.norm(outputs[0] - outputs[1]) > 0.0
 
 
+def test_merge_average_n_prev_must_convert_to_a_float(tmp_path, capsys):
+    # the average weighs the carried module by float(n_prev); layers within
+    # (-1, 1) keep n * accumulated finite up to the largest such integer
+    acc = tmp_path / "acc.onea"
+    save_module(make_module([np.full((4, 2), 0.5), np.full((2, 4), -0.25)],
+                            task_id=1, class_ids=(0, 1), sample_count=40), acc)
+    _, new = _two_modules(tmp_path)
+    out = tmp_path / "merged.onea"
+    top = 2 ** 1024 - 2 ** 970 - 1    # the largest integer float() takes
+    for n_prev in (10 ** 308, top):
+        assert main(["merge", str(acc), str(new), "--out", str(out),
+                     "--strategy", "average", "--n-prev", str(n_prev)]) == 0
+        assert np.allclose(load_module(out).layers[0], 0.5)
+        out.unlink()
+    capsys.readouterr()
+    for n_prev in (top + 1, 10 ** 400):
+        assert main(["merge", str(acc), str(new), "--out", str(out),
+                     "--strategy", "average", "--n-prev", str(n_prev)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_prev_tasks must lie in [1, 1797693")
+        assert err.count("\n") == 1 and len(err) < 130, err
+        assert not out.exists()
+
+
 def test_merge_rejects_the_backbone_strategy(tmp_path, capsys):
     pa, pb = _two_modules(tmp_path)
     out = tmp_path / "merged.onea"
@@ -638,6 +662,9 @@ _MALFORMED = {
     "train_seed-string": {"train_seed": "x"},
     "svd_calls-bool": {"svd_calls": True},
     "svd_calls-negative": {"svd_calls": -1},
+    "strategy-int": {"strategy": 5},
+    "strategy-null": {"strategy": None},
+    "strategy-comma": {"strategy": "x,y"},
     "step_acc-infinity": {"step_acc": [0.5, float("inf")]},
     "step_acc-above-1": {"step_acc": [0.5, 7.5]},
     "acc_matrix-nan": {"acc_matrix": [[float("nan"), 0.4], [None, 0.6]]},

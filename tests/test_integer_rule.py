@@ -76,3 +76,7 @@ def test_check_int_bounds_and_messages():
         check_int("n", 0, 1)
     with pytest.raises(ConfigError, match=r"^n must lie in \[1, 4\], got 5$"):
         check_int("n", 5, 1, 4)
+    # a bound past clip's limit is cut like the value, so the line stays short
+    with pytest.raises(ConfigError, match=r"^n must lie in \[1, 1797693\d{30}\.\.\.\], "
+                                          r"got 1\d{36}\.\.\.$"):
+        check_int("n", 10 ** 400, 1, 2 ** 1024)

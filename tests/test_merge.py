@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from onea import (ConfigError, GateVector, InfoProxy, MergeConfig,
-                  NumericError, ShapeError, TaskMeta,
-                  gate_vector, info_weights, merge_average, merge_layer,
-                  merge_modules, merge_symmetric, select_roles, thin_svd)
+                  NumericError, ShapeError, StreamSpec, Strategy, TaskMeta,
+                  TrainConfig, build_stream, gate_vector, info_weights,
+                  merge_average, merge_layer, merge_modules, merge_symmetric,
+                  run_sequence, select_roles, thin_svd)
+from onea import merge
 from onea.counters import SVD_CALLS
 from onea.merge import _effective_rank, _linear_quantile, _logistic
 
@@ -295,12 +297,15 @@ def test_gate_vector_matches_numpy_quantile_gate_bit_for_bit():
 # -------------------------------------------------------------- merge_layer
 
 def test_merge_layer_zero_gate_returns_base():
+    # the gated update is exactly zero, so a base without -0.0 entries
+    # comes back bit for bit
     rng = np.random.default_rng(7)
-    w_b = rng.normal(size=(5, 4))
-    w_a = rng.normal(size=(5, 4))
-    zero = GateVector(g=np.zeros(4))
-    out = merge_layer(w_b, w_a, 0.5, 0.5, CFG, gate=zero)
-    assert np.allclose(out, w_b, atol=1e-8)
+    for shape in ((5, 4), (32, 8), (8, 32)):
+        w_b = rng.normal(size=shape)
+        w_a = rng.normal(size=shape)
+        zero = GateVector(g=np.zeros(min(shape)))
+        out = merge_layer(w_b, w_a, 0.5, 0.5, CFG, gate=zero)
+        assert out.tobytes() == w_b.tobytes()
 
 
 def test_merge_layer_one_gate_is_full_fusion():
@@ -329,31 +334,70 @@ def test_merge_layer_zeroes_noise_directions():
 
 
 def _reference_inputs(rng):
-    """(base, align, gate or None): full-rank 6x6 bases, all-zero bases of
-    several shapes with and without a gate override, and rank-deficient
-    bases (rank 1 to min(shape) - 1)."""
-    for _ in range(10):
-        yield rng.normal(size=(6, 6)), rng.normal(size=(6, 6)), None
+    """(base, align, gate or None, rank_eps): full-rank bases at the stock
+    rank_eps and at 0.5, which cuts the effective rank and so exercises
+    the rows past it; all-one, all-zero and random gate overrides; all-zero
+    bases of several shapes with and without a gate override; and
+    rank-deficient bases (rank 1 to min(shape) - 1)."""
+    for shape in ((6, 6), (32, 8), (8, 32)):
+        r = min(shape)
+        for _ in range(5):
+            base, align = rng.normal(size=shape), rng.normal(size=shape)
+            for rank_eps in (1e-10, 0.5):
+                yield base, align, None, rank_eps
+            for gate in (np.ones(r), np.zeros(r), rng.uniform(0.0, 1.0, size=r)):
+                yield base, align, gate, 1e-10
     for shape in ((3, 3), (4, 2), (2, 5), (1, 1), (6, 1)):
         w_a = rng.normal(size=shape)
-        yield np.zeros(shape), w_a, None
-        yield np.zeros(shape), w_a, rng.uniform(0.0, 1.0, size=min(shape))
+        yield np.zeros(shape), w_a, None, 1e-10
+        yield np.zeros(shape), w_a, rng.uniform(0.0, 1.0, size=min(shape)), 1e-10
     for shape in ((6, 6), (5, 3), (3, 7)):
         for rank in range(1, min(shape)):
             base = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
-            yield base, rng.normal(size=shape), None
+            yield base, rng.normal(size=shape), None, 1e-10
+            yield base, rng.normal(size=shape), None, 0.5
+
+
+def _assert_matches_reference(base, align, w_b, w_a, gate, rank_eps):
+    """merge_layer's closed form equals the reference's direction-by-
+    direction V-frame route within 1e-12 relative; returns the merge."""
+    got = merge_layer(base, align, w_b, w_a, MergeConfig(rank_eps=rank_eps),
+                      gate=None if gate is None else GateVector(g=gate))
+    want = reference_merge_layer(base, align, w_b, w_a, rank_eps=rank_eps,
+                                 gate=gate)
+    scale = np.linalg.norm(base) + np.linalg.norm(align)
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+    return got
 
 
 def test_merge_layer_matches_reference():
     rng = np.random.default_rng(9)
-    for w_b, w_a, gate in _reference_inputs(rng):
+    for w_b, w_a, gate, rank_eps in _reference_inputs(rng):
         w_align = rng.uniform(0.1, 0.9)
-        got = merge_layer(w_b, w_a, 1.0 - w_align, w_align, CFG,
-                          gate=None if gate is None else GateVector(g=gate))
-        want = reference_merge_layer(w_b, w_a, 1.0 - w_align, w_align, gate=gate)
-        assert np.linalg.norm(got - want) <= 1e-10
+        got = _assert_matches_reference(w_b, w_a, 1.0 - w_align, w_align,
+                                        gate, rank_eps)
         if not w_b.any():    # rank 0: nothing of the align update passes
             assert np.array_equal(got, np.zeros_like(w_b))
+
+
+def test_merge_layer_matches_reference_on_a_one_a_run(monkeypatch):
+    # every layer of every fold of a stock 20/5 one-a run, with the
+    # weights and config that the run passed
+    calls = []
+
+    def recording(base_w, align_w, w_b, w_a, cfg, gate=None):
+        calls.append((base_w, align_w, w_b, w_a, cfg))
+        return original(base_w, align_w, w_b, w_a, cfg, gate)
+
+    original = merge._merge_layer
+    monkeypatch.setattr(merge, "_merge_layer", recording)
+    run_sequence(build_stream(StreamSpec(total_classes=20, num_tasks=5)),
+                 Strategy.ONE_A, TrainConfig())
+    monkeypatch.undo()    # merge_layer below goes through _merge_layer too
+    assert len(calls) == 2 * 4
+    for base_w, align_w, w_b, w_a, cfg in calls:
+        assert cfg == CFG
+        _assert_matches_reference(base_w, align_w, w_b, w_a, None, cfg.rank_eps)
 
 
 def test_merge_layer_guards():
@@ -553,14 +597,14 @@ def _sign_bases(rng, shape):
 
 
 def _signed_merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
-    """merge_layer's operations on reference_svd's sign-pinned factors."""
+    """merge_layer's operations on reference_svd's sign-pinned factors:
+    column i of u meets row i of u.T @ align_w and of s * v.T, and u_i and
+    v_i flip together, so each product keeps its sign."""
     u, s, v, k = reference_svd(base_w, cfg.rank_eps)
-    v_aligned = np.zeros_like(v)
-    v_aligned[:, :k] = (align_w.T @ u[:, :k]) / s[:k]
-    v_fused = w_b * v + w_a * v_aligned
     g = gate_vector(s, cfg).g if gate is None else gate.g
-    v_final = v + (v_fused - v) * g[None, :]
-    return (u * s) @ v_final.T
+    update = (w_b - 1.0) * (s[:, None] * v.T)
+    update[:k] += w_a * (u[:, :k].T @ align_w)
+    return base_w + (u * g) @ update
 
 
 def _signed_merge_symmetric(acc_w, new_w, w_b, w_a):

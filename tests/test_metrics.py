@@ -71,6 +71,10 @@ _MALFORMED = {
     "bool-step": ({"step_acc": [1.0, True, 0.5]}, "'step_acc' must be a list"),
     "negative-svd-calls": ({"svd_calls": -1}, "'svd_calls' must be >= 0"),
     "schema-2": ({"schema_version": 2}, "'schema_version' must be 1"),
+    "strategy-int": ({"strategy": 5}, "'strategy' must be one of: one-a, "),
+    "strategy-null": ({"strategy": None}, "'strategy' must be one of"),
+    "strategy-comma": ({"strategy": "x,y"}, r"'strategy' must be .*; got 'x,y'$"),
+    "strategy-list": ({"strategy": ["one-a"]}, "'strategy' must be one of"),
     "config-list": ({"config": []}, "'config' must be a JSON object"),
     "merge_ms-string": ({"timings": {"merge_ms": "fast"}}, "'timings.merge_ms'"),
     "step-inf": ({"step_acc": [1.0, 0.75, math.inf]}, "finite and lie in"),
