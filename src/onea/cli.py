@@ -29,25 +29,11 @@ from .sim import (FOLD_STRATEGIES, PER_TASK_STRATEGIES, Strategy, TrainConfig,
 from .stream import StreamSpec, TaskOrder, build_stream, config_keys
 
 # every library default comes from the config dataclasses; only the
-# stream shape, the strategy list and the output directory are the CLI's own
+# stream shape and the strategy list are the CLI's own
 RUN_DEFAULTS = {
     **run_config(StreamSpec(total_classes=20, num_tasks=5), TrainConfig(), MergeConfig()),
     "strategies": ["one-a", "average"],
-    "out_dir": "runs",
 }
-
-
-def _coerce(key: str, value):
-    """Check a value of the CLI's own keys; the config objects are the one
-    check of every other key's value."""
-    if key == "out_dir" and not isinstance(value, str):
-        raise ConfigError("config key 'out_dir' must be a string, "
-                          f"got {clip(repr(value))}")
-    if key == "strategies" and not (isinstance(value, list)
-                                    and all(isinstance(v, str) for v in value)):
-        raise ConfigError("config key 'strategies' must be a list of strings, "
-                          f"got {clip(repr(value))}")
-    return value
 
 
 def _read_text(path: str, what: str) -> str:
@@ -83,7 +69,7 @@ def _load_run_config(path: str | None, overrides: list[str] | None) -> dict:
     for key, value in _config_items(path, overrides):
         if key not in RUN_DEFAULTS:
             raise ConfigError(f"unknown config key '{clip(key)}'")
-        conf[key] = _coerce(key, value)
+        conf[key] = value
     return conf
 
 
@@ -110,7 +96,11 @@ def _config_object(cls, conf: dict):
 def _build_objects(conf: dict):
     spec, train, merge_cfg = (_config_object(cls, conf)
                               for cls in (StreamSpec, TrainConfig, MergeConfig))
-    strategies = [_enum_value(Strategy, s, "strategies") for s in conf["strategies"]]
+    names = conf["strategies"]
+    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+        raise ConfigError("config key 'strategies' must be a list of strings, "
+                          f"got {clip(repr(names))}")
+    strategies = [_enum_value(Strategy, s, "strategies") for s in names]
     if not strategies:
         raise ConfigError("config key 'strategies' must name at least one strategy")
     repeated = sorted({s.value for s in strategies if strategies.count(s) > 1})
@@ -135,12 +125,10 @@ def cmd_gen_stream(args) -> int:
 
 
 def cmd_run(args) -> int:
-    conf = _load_run_config(args.config, args.set)
-    if args.out_dir is not None:
-        conf["out_dir"] = args.out_dir
-    spec, train, merge_cfg, strategies = _build_objects(conf)
+    spec, train, merge_cfg, strategies = _build_objects(
+        _load_run_config(args.config, args.set))
     stream = build_stream(spec)
-    out_dir = Path(conf["out_dir"])
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = run_strategies(stream, strategies, train, merge_cfg)
@@ -165,7 +153,8 @@ def cmd_merge(args) -> int:
                          merge_cfg)
     save_module(merged, args.out)  # an unwritable --out prints nothing
     if trace is None:
-        print(f"averaged {len(merged.layers)} layers with n_prev={args.n_prev}")
+        n_prev = clip(str(args.n_prev))
+        print(f"averaged {len(merged.layers)} layers with n_prev={n_prev}")
     elif trace.layers[0][0] is None:  # no rank taken: one blend of both blocks
         _, w_b, w_a = trace.layers[0]
         print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")
@@ -276,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default=None, help="flat JSON config file")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    run.add_argument("--out-dir", default=None)
+    run.add_argument("--out-dir", default="runs")
     run.set_defaults(func=cmd_run)
 
     merge = sub.add_parser("merge", help="merge two serialized adapters")
@@ -287,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in FOLD_STRATEGIES])
     merge.add_argument("--quantile-q", type=float, default=MergeConfig.quantile_q)
     merge.add_argument("--kappa", type=float, default=MergeConfig.sharpness_kappa)
-    merge.add_argument("--delta", type=float, default=MergeConfig.delta)
-    merge.add_argument("--rank-eps", type=float, default=MergeConfig.rank_eps)
     merge.add_argument("--proxy", dest="info_proxy",
                        default=MergeConfig.info_proxy.value,
                        choices=[p.value for p in InfoProxy])

@@ -40,9 +40,10 @@ class TrainingError(NumericError):
     """Training diverged; the message echoes seed and config for replay."""
 
 
-def clip(text: str, limit: int = 40) -> str:
-    """text, cut to limit characters with an ellipsis if longer."""
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+def clip(text: str) -> str:
+    """text, or past 40 characters its first 19 and last 18 around an
+    ellipsis, so texts that differ only in their tail still print apart."""
+    return text if len(text) <= 40 else text[:19] + "..." + text[-18:]
 
 
 def check_int(name: str, value, low: int | None = None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,28 +43,24 @@ def _unit_interval(name: str, value) -> float:
 class MergeConfig:
     """Knobs of the asymmetric merge.
 
-    quantile_q picks the gate threshold within the normalized spectrum,
-    sharpness_kappa sets how hard the gate saturates, delta guards the
-    spectrum normalization, and rank_eps defines the effective rank:
-    singular values at or below rank_eps * sigma_1 are treated as noise.
+    quantile_q picks the gate threshold within the normalized spectrum and
+    sharpness_kappa sets how hard the gate saturates. Two constants: delta
+    guards the spectrum normalization, and rank_eps defines the effective
+    rank: singular values at or below rank_eps * sigma_1 count as noise.
     """
 
+    delta: ClassVar[float] = 1e-6
+    rank_eps: ClassVar[float] = 1e-10
     quantile_q: float = 0.5
     sharpness_kappa: float = 10.0
-    delta: float = 1e-6
-    rank_eps: float = 1e-10
     info_proxy: InfoProxy = InfoProxy.CLASS_COUNT
 
     def __post_init__(self):
-        for name in ("quantile_q", "sharpness_kappa", "delta", "rank_eps"):
+        for name in ("quantile_q", "sharpness_kappa"):
             object.__setattr__(self, name, check_float(name, getattr(self, name)))
         _unit_interval("quantile_q", self.quantile_q)
         if self.sharpness_kappa <= 0.0:
             raise ConfigError(f"sharpness_kappa must be > 0, got {self.sharpness_kappa}")
-        if self.delta <= 0.0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if not 0.0 < self.rank_eps < 1.0:
-            raise ConfigError(f"rank_eps must lie in (0, 1), got {self.rank_eps}")
         if not isinstance(self.info_proxy, InfoProxy):
             raise ConfigError(f"info_proxy must be an InfoProxy, got {self.info_proxy!r}")
 

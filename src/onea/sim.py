@@ -509,6 +509,10 @@ class _StrategyRun:
             self.svd_calls += SVD_CALLS.value - svd_start
         else:
             adapter = new
+            if carried is not None and not self.rule.per_task:
+                # the replacement serves every class seen so far, as a fold does
+                adapter = AdapterModule(layers=new.layers,
+                                        meta=carried.meta.union(task.meta))
             self.merge_ms.append(0.0)
 
         fresh = compute_prototypes(adapter, self.backbone, task.data,

@@ -47,6 +47,7 @@ def config_values(obj) -> dict:
 class TaskOrder(enum.Enum):
     PERMUTED_HEAD_TAIL = "permuted"
     DESCENDING = "descending"
+    ASCENDING = "ascending"
     BALANCED = "balanced"
 
 
@@ -207,6 +208,8 @@ def build_stream(spec: StreamSpec) -> TaskStream:
         start += n
     if spec.order is TaskOrder.PERMUTED_HEAD_TAIL:
         blocks = [blocks[i] for i in task_perm]
+    elif spec.order is TaskOrder.ASCENDING:  # tail first, head last
+        blocks.reverse()
 
     n_train = _train_count(spec.samples_per_class)
     tasks = []

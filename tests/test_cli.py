@@ -190,9 +190,8 @@ def test_run_defaults_keys_values_and_types():
         "beta": 0.5, "lambda_min": 0.01, "lambda_max": 0.1, "k_decay": 2.3979,
         "tau_margin": 0.07, "batch_size": 32, "bottleneck": 8,
         "cosine_lr": False, "train_seed": 0,
-        "quantile_q": 0.5, "kappa": 10.0, "delta": 1e-6, "rank_eps": 1e-10,
-        "info_proxy": "class-count",
-        "strategies": ["one-a", "average"], "out_dir": "runs",
+        "quantile_q": 0.5, "kappa": 10.0, "info_proxy": "class-count",
+        "strategies": ["one-a", "average"],
     }
     assert RUN_DEFAULTS == want
     assert {k: type(v) for k, v in RUN_DEFAULTS.items()} == \
@@ -208,18 +207,17 @@ def test_run_report_echoes_every_key(tmp_path):
         "beta": 0.4, "lambda_min": 0.02, "lambda_max": 0.2, "k_decay": 1.5,
         "tau_margin": 0.1, "batch_size": 7, "bottleneck": 4,
         "cosine_lr": True, "train_seed": 5,
-        "quantile_q": 0.4, "kappa": 8.0, "delta": 1e-5, "rank_eps": 1e-9,
-        "info_proxy": "frobenius",
-        "strategies": ["symmetric"], "out_dir": str(out),
+        "quantile_q": 0.4, "kappa": 8.0, "info_proxy": "frobenius",
+        "strategies": ["symmetric"],
     }
     assert set(conf) == set(RUN_DEFAULTS)
     assert all(conf[k] != RUN_DEFAULTS[k] for k in conf)
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(conf))
-    assert main(["run", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     report = RunReport.from_json((out / "report-symmetric.json").read_text())
     assert (report.stream_seed, report.train_seed) == (3, 5)
-    for key in ("stream_seed", "train_seed", "strategies", "out_dir"):
+    for key in ("stream_seed", "train_seed", "strategies"):
         del conf[key]
     assert report.config == conf
 
@@ -231,10 +229,19 @@ def test_run_report_echoes_every_key(tmp_path):
     ["run", "--set", "epochs_base=1.5"],           # float for int
     ["run", "--set", 'strategies=["warp"]'],       # unknown strategy
     ["run", "--set", "strategies=[]"],
+    # no options: delta and rank_eps are MergeConfig constants, and
+    # --out-dir is the one setter of the output directory
+    ["run", "--set", "delta=1e-6"],
+    ["run", "--set", "rank_eps=1e-10"],
+    ["run", "--set", "out_dir=x"],
 ])
-def test_run_config_errors_exit_2(argv, tmp_path, capsys):
-    assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_run_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out-dir", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_rejects_a_repeated_strategy_before_training(tmp_path, capsys):
@@ -271,7 +278,7 @@ _WRONG_TYPES = {int: ["2.5", "4.0", "true", '"3"'],
     for key, default in RUN_DEFAULTS.items() for raw in _WRONG_TYPES[type(default)]])
 def test_each_run_key_rejects_a_wrong_type_before_out_dir(key, raw, tmp_path,
                                                           monkeypatch, capsys):
-    # out_dir keeps its default, runs, under tmp_path
+    # --out-dir keeps its default, runs, under tmp_path
     monkeypatch.chdir(tmp_path)
     assert main(["run", *RUN_ARGS, "--set", f"{key}={raw}"]) == 2
     captured = capsys.readouterr()
@@ -427,13 +434,19 @@ def test_merge_average_n_prev_must_convert_to_a_float(tmp_path, capsys):
                      "--strategy", "average", "--n-prev", str(n_prev)]) == 0
         assert np.allclose(load_module(out).layers[0], 0.5)
         out.unlink()
-    capsys.readouterr()
+        # the echo is clipped to its first and last digits
+        digits = str(n_prev)
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"averaged 2 layers with n_prev={digits[:19]}...{digits[-18:]}")
     for n_prev in (top + 1, 10 ** 400):
         assert main(["merge", str(acc), str(new), "--out", str(out),
                      "--strategy", "average", "--n-prev", str(n_prev)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: n_prev_tasks must lie in [1, 1797693")
         assert err.count("\n") == 1 and len(err) < 130, err
+        # top + 1 differs from the bound only in its last digit
+        bound, value = re.fullmatch(r".*\[1, (\S+)\], got (\S+)\n", err).groups()
+        assert bound != value
         assert not out.exists()
 
 
@@ -443,6 +456,20 @@ def test_merge_rejects_the_backbone_strategy(tmp_path, capsys):
     assert main(["merge", str(pa), str(pb), "--out", str(out),
                  "--strategy", "backbone"]) == 2
     assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--rank-eps"])
+def test_merge_rejects_the_gate_constants_as_flags(flag, tmp_path, capsys):
+    # delta and rank_eps are MergeConfig constants, not options
+    pa, pb = _two_modules(tmp_path)
+    out = tmp_path / "merged.onea"
+    value = {"--delta": "1e-4", "--rank-eps": "0.5"}[flag]
+    assert main(["merge", str(pa), str(pb), "--out", str(out), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == \
+        [f"onea: error: unrecognized arguments: {flag} {value}"]
     assert not out.exists()
 
 
@@ -580,9 +607,6 @@ def _config_objects(draw):
                         cosine_lr=draw(st.booleans()), seed=draw(_SEEDS))
     merge_cfg = MergeConfig(quantile_q=draw(_reals(0.0, 1.0)),
                             sharpness_kappa=draw(_reals(0.0, exclude_min=True)),
-                            delta=draw(_reals(0.0, exclude_min=True)),
-                            rank_eps=draw(_reals(0.0, 1.0, exclude_min=True,
-                                                 exclude_max=True)),
                             info_proxy=draw(st.sampled_from(InfoProxy)))
     return spec, train, merge_cfg
 
@@ -591,7 +615,7 @@ def _config_objects(draw):
 @given(objects=_config_objects())
 def test_the_key_table_round_trips(objects):
     conf = run_config(*objects)
-    assert set(conf) == set(RUN_DEFAULTS) - {"strategies", "out_dir"}
+    assert set(conf) == set(RUN_DEFAULTS) - {"strategies"}
     assert _build_objects({**conf, "strategies": ["one-a"]})[:3] == objects
 
 
@@ -825,7 +849,6 @@ _LONG_SETTINGS = {"int": "classes=" + "[" * 100000,
                   "float": "kappa=" + "[" * 100000,
                   "enum": "order=" + "[" * 100000,
                   "strategies": "strategies=" + json.dumps([1] * 100000),
-                  "out_dir": "out_dir=" + json.dumps([1] * 100000),
                   "missing-equals": "x" * 100000,
                   "unknown-key": "x" * 100000 + "=1"}
 

@@ -28,8 +28,6 @@ _SLOTS = {
     "MergeConfig.quantile_q": (lambda v: MergeConfig(quantile_q=v).quantile_q, 0.5),
     "MergeConfig.sharpness_kappa":
         (lambda v: MergeConfig(sharpness_kappa=v).sharpness_kappa, 0.5),
-    "MergeConfig.delta": (lambda v: MergeConfig(delta=v).delta, 0.5),
-    "MergeConfig.rank_eps": (lambda v: MergeConfig(rank_eps=v).rank_eps, 0.5),
     "class_ratios.gamma": (lambda v: float(class_ratios(3, v)[-1]), 0.5),
 }
 

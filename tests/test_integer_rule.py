@@ -76,7 +76,16 @@ def test_check_int_bounds_and_messages():
         check_int("n", 0, 1)
     with pytest.raises(ConfigError, match=r"^n must lie in \[1, 4\], got 5$"):
         check_int("n", 5, 1, 4)
-    # a bound past clip's limit is cut like the value, so the line stays short
-    with pytest.raises(ConfigError, match=r"^n must lie in \[1, 1797693\d{30}\.\.\.\], "
-                                          r"got 1\d{36}\.\.\.$"):
+    # a bound past 40 characters is cut like the value, to its first 19 and
+    # last 18 digits, so the line stays short
+    with pytest.raises(ConfigError, match=r"^n must lie in \[1, 1797693\d{12}\.\.\.\d{17}6\], "
+                                          r"got 10{18}\.\.\.0{18}$"):
         check_int("n", 10 ** 400, 1, 2 ** 1024)
+    # a value past the bound by 1 prints apart from it, in its last digit
+    top = 2 ** 1024 - 2 ** 970 - 1
+    with pytest.raises(ConfigError) as caught:
+        check_int("n", top + 1, 1, top)
+    bound, value = str(top), str(top + 1)
+    assert str(caught.value) == (f"n must lie in [1, {bound[:19]}...{bound[-18:]}], "
+                                 f"got {value[:19]}...{value[-18:]}")
+    assert bound[-18:] != value[-18:]

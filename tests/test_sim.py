@@ -1,5 +1,6 @@
 """Training harness: schedules, losses, gradients, prototypes, sequences."""
 
+import functools
 import math
 import warnings
 
@@ -655,11 +656,28 @@ def test_run_sequence_adapters_out():
     assert per_task[0].meta.task_id == 1
 
 
-def test_run_sequence_single_finetune_keeps_last_meta():
+def _stream_union(stream):
+    return functools.reduce(TaskMeta.union, (t.meta for t in stream.tasks))
+
+
+def test_run_sequence_single_finetune_deploys_the_union_meta():
     stream = _tiny_stream()
     _, modules = run_sequence(stream, Strategy.SINGLE_FINETUNE, QUICK,
                               return_adapters=True)
-    assert modules[0].meta == stream.tasks[-1].meta
+    assert modules[0].meta == _stream_union(stream)
+
+
+def test_every_single_member_strategy_deploys_the_stream_union():
+    # a fold unions the metadata it absorbs and a replaced member does the
+    # same, so a deployed header names every class and sample it serves
+    stream = _tiny_stream(total_classes=6, num_tasks=3)
+    want = _stream_union(stream)
+    assert (want.task_id, want.class_ids, want.sample_count) == \
+        (3, frozenset(range(6)), sum(t.meta.sample_count for t in stream.tasks))
+    strategies = [s for s in Strategy if s not in sim.PER_TASK_STRATEGIES]
+    for strategy, (_, (module,)) in zip(strategies,
+                                        run_strategies(stream, strategies, QUICK)):
+        assert module.meta == want, strategy
 
 
 def test_run_sequence_backbone_deploys_the_identity_adapter():
@@ -669,7 +687,7 @@ def test_run_sequence_backbone_deploys_the_identity_adapter():
     assert [w.shape for w in module.layers] == [(sim.BACKBONE_DIM, 4),
                                                 (4, sim.BACKBONE_DIM)]
     assert not any(w.any() for w in module.layers)
-    assert module.meta == stream.tasks[-1].meta
+    assert module.meta == _stream_union(stream)
     assert report.strategy == "backbone" and report.svd_calls == 0
     assert report.timings["merge_ms"] == [0.0] * 3
 

@@ -172,6 +172,19 @@ def test_build_stream_permuted_shuffles_the_same_blocks():
     assert got == want
 
 
+def test_build_stream_ascending_reverses_descending():
+    # the same blocks and data in reverse, with no new draw; ids stay positional
+    descending = build_stream(_spec(order=TaskOrder.DESCENDING))
+    ascending = build_stream(_spec(order=TaskOrder.ASCENDING))
+    assert [t.meta.class_count for t in ascending.tasks] == [1, 1, 2, 3, 13]
+    assert [t.meta.task_id for t in ascending.tasks] == [1, 2, 3, 4, 5]
+    for asc, desc in zip(ascending.tasks, reversed(descending.tasks)):
+        assert (asc.meta.class_ids, asc.meta.sample_count) == \
+            (desc.meta.class_ids, desc.meta.sample_count)
+        for name in ("train_x", "train_y", "test_x", "test_y"):
+            assert np.array_equal(getattr(asc.data, name), getattr(desc.data, name))
+
+
 def test_build_stream_balanced_counts():
     stream = build_stream(_spec(order=TaskOrder.BALANCED, gamma=1.0))
     assert [t.meta.class_count for t in stream.tasks] == [4] * 5

@@ -1,7 +1,8 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on twelve configs x stream/train seeds {0, 3}, eight with
-the five strategies other than backbone and four with a single one
+Runs `onea run` on thirteen configs x stream/train seeds {0, 3}, nine with
+the five strategies other than backbone (one of them on an ascending
+stream, head task last) and four with a single one
 (single-finetune alone trains only the continuation past the first task,
 per-task alone only fresh adapters; per-task-one-row has one test row per
 task, so every test block is scored through the single-row product path;
@@ -11,8 +12,7 @@ frobenius proxies are 0;
 bottleneck3 is the one config whose adapters are not 8 wide), then
 `onea merge` for the three fold strategies on adapters from those runs,
 for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
-smallest and largest score, for one-a at --rank-eps 0.5, which cuts the
-effective ranks below full, and for the three fold strategies on two
+smallest and largest score, and for the three fold strategies on two
 zero-updates adapters, whose zero w_up layers merge at effective rank 0
 under one-a and could surface signed zeros under any, and for the three
 fold strategies on two bottleneck3 adapters, so a .onea header width taken
@@ -49,6 +49,7 @@ CONFIGS = {
     "default": {},
     "cosine-lr": {"cosine_lr": True},
     "descending-frobenius": {"order": "descending", "info_proxy": "frobenius"},
+    "ascending": {"order": "ascending"},
     "batch7-energy": {"batch_size": 7, "samples_per_class": 23,
                       "info_proxy": "singular-energy"},
     "100x50": {"classes": 100, "tasks": 50, "epochs_base": 3},
@@ -63,17 +64,16 @@ CONFIGS = {
     "bottleneck3": {"classes": 12, "tasks": 4, "bottleneck": 3},
 }
 SEEDS = (0, 3)
-MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--delta", "1e-4",
-                    "--proxy", "frobenius", "--n-prev", "2"])
+MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--proxy", "frobenius",
+                    "--n-prev", "2"])
 # (source run, strategy, case tag, first of two consecutive per-task
 # adapters, flags): each fold strategy under each flag set, then one-a at
-# the clipped ends of numpy's linear quantile and at a coarse rank cutoff,
-# then each fold strategy on zero updates and on bottleneck-3 adapters
+# the clipped ends of numpy's linear quantile, then each fold strategy on
+# zero updates and on bottleneck-3 adapters
 MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                 for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
                + [("default", "one-a", f"q{q}", 1, ["--quantile-q", q])
                   for q in ("0", "1")]
-               + [("default", "one-a", "eps", 1, ["--rank-eps", "0.5"])]
                + [("zero-updates", strategy, "zero", 1, ["--proxy", "frobenius"])
                   for strategy in STRATEGIES[:3]]
                + [("bottleneck3", strategy, "b3", 1, []) for strategy in STRATEGIES[:3]])
