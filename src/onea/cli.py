@@ -292,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out-csv", default=None)
     cmp_.add_argument("--out-json", default=None)
     cmp_.set_defaults(func=cmd_compare)
+    for command in sub.choices.values():  # main reports unknown flags through it
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -302,7 +304,9 @@ _EXIT_CODES = ((FormatError, 4), (NumericError, 3), (OSError, 4), (OneaError, 2)
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -292,8 +292,9 @@ def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
 def merge_average(new: AdapterModule, accumulated: AdapterModule,
                   n_prev_tasks: int) -> AdapterModule:
     """Running per-entry mean: (n * accumulated + new) / (n + 1)."""
-    # the high bound is the largest integer that float() rounds to a finite value
-    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1, 2**1024 - 2**970 - 1)
+    # up to 2**895, n * acc + cur stays finite for entries within float32's
+    # range (|x| < 2**128), which every .onea layer is
+    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1, 2**895)
     _check_mergeable(new, accumulated)
     n = float(n_prev_tasks)
     layers = [(n * acc + cur) / (n + 1.0)

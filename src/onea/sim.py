@@ -13,6 +13,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,18 +56,25 @@ class Backbone:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Knobs of the per-task trainer.
+
+    Five constants shape its two schedules: the epoch budget grows as the
+    task-size ratio to the power beta, the contrastive weight decays from
+    lambda_max at one class toward lambda_min at rate k_decay, and
+    tau_margin is the similarity below which a negative pair costs nothing.
+    """
+
+    beta: ClassVar[float] = 0.5
+    lambda_min: ClassVar[float] = 0.01
+    lambda_max: ClassVar[float] = 0.1
+    k_decay: ClassVar[float] = 2.3979  # ln(11) to 5 digits
+    tau_margin: ClassVar[float] = 0.07
     lr: float = 0.1
     epochs_base: int = 15      # epochs at the reference task size
     epochs_min: int = 2
     epochs_max: int = 60
-    beta: float = 0.5          # epoch growth exponent in task size
-    lambda_min: float = 0.01
-    lambda_max: float = 0.1
-    k_decay: float = 2.3979    # decay rate of the contrastive weight
-    tau_margin: float = 0.07
     batch_size: int = 32
     bottleneck: int = 8
-    cosine_lr: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -76,25 +84,14 @@ class TrainConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
         check_float("epochs_base", self.epochs_base)  # the epoch budget scales it as a float
-        for name in ("lr", "beta", "lambda_min", "lambda_max", "k_decay", "tau_margin"):
-            object.__setattr__(self, name, check_float(name, getattr(self, name)))
-        if not isinstance(self.cosine_lr, bool):
-            raise ConfigError(f"cosine_lr must be a boolean, got {self.cosine_lr!r}")
+        object.__setattr__(self, "lr", check_float("lr", self.lr))
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 <= self.lambda_min <= self.lambda_max <= 1.0:
-            raise ConfigError("need 0 <= lambda_min <= lambda_max <= 1")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.k_decay <= 0.0:
-            raise ConfigError(f"k_decay must be > 0, got {self.k_decay}")
-        if not 0.0 <= self.tau_margin < 1.0:
-            raise ConfigError(f"tau_margin must lie in [0, 1), got {self.tau_margin}")
 
 
 def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
-    """Contrastive weight, largest for single-class tasks and decaying
-    exponentially toward lambda_min as tasks widen.
+    """Contrastive weight, the constant lambda_max for single-class tasks,
+    decaying exponentially at rate k_decay toward lambda_min as tasks widen.
 
     Arranged as lambda_max + (lambda_min - lambda_max) * (1 - exp(...)) so
     class_count == 1 returns lambda_max exactly.
@@ -118,7 +115,7 @@ def _epochs_for(class_count: int, t0: float, cfg: TrainConfig) -> int:
         raise ConfigError(f"reference task size must be > 0, got {t0}")
     ratio = class_count / t0
     # a budget at or past epochs_max + 1 clamps to epochs_max; deciding that
-    # in log space keeps a large beta or epochs_base from overflowing a float
+    # in log space keeps a large epochs_base from overflowing a float
     if math.log(cfg.epochs_base) + cfg.beta * math.log(ratio) \
             >= math.log(cfg.epochs_max + 1):
         return cfg.epochs_max
@@ -286,8 +283,6 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
     lam = lambda_schedule(k, cfg)
     epochs = _epochs_for(k, t0 if t0 is not None else float(k), cfg)
     h_all = backbone.features(data.train_x)
-    total_steps = max(1, epochs * math.ceil(n / cfg.batch_size))
-    step = 0
     diverged = (f"loss diverged on task {meta.task_id} "
                 f"(seed={cfg.seed}, lr={cfg.lr}, batch={cfg.batch_size})")
     try:
@@ -303,12 +298,8 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
                                                   params, lam, cfg.tau_margin)
                     if not np.isfinite(loss).all():
                         raise TrainingError(diverged)
-                    lr = cfg.lr
-                    if cfg.cosine_lr:
-                        lr *= 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
                     for name, grad in grads.items():
-                        params[name] -= lr * grad
-                    step += 1
+                        params[name] -= cfg.lr * grad
     except FloatingPointError:
         raise TrainingError(diverged) from None
 

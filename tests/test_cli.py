@@ -187,9 +187,7 @@ def test_run_defaults_keys_values_and_types():
         "classes": 20, "tasks": 5, "gamma": 0.01, "order": "permuted",
         "samples_per_class": 50, "stream_seed": 0,
         "lr": 0.1, "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
-        "beta": 0.5, "lambda_min": 0.01, "lambda_max": 0.1, "k_decay": 2.3979,
-        "tau_margin": 0.07, "batch_size": 32, "bottleneck": 8,
-        "cosine_lr": False, "train_seed": 0,
+        "batch_size": 32, "bottleneck": 8, "train_seed": 0,
         "quantile_q": 0.5, "kappa": 10.0, "info_proxy": "class-count",
         "strategies": ["one-a", "average"],
     }
@@ -204,9 +202,7 @@ def test_run_report_echoes_every_key(tmp_path):
         "classes": 6, "tasks": 2, "gamma": 0.2, "order": "balanced",
         "samples_per_class": 10, "stream_seed": 3,
         "lr": 0.05, "epochs_base": 1, "epochs_min": 1, "epochs_max": 3,
-        "beta": 0.4, "lambda_min": 0.02, "lambda_max": 0.2, "k_decay": 1.5,
-        "tau_margin": 0.1, "batch_size": 7, "bottleneck": 4,
-        "cosine_lr": True, "train_seed": 5,
+        "batch_size": 7, "bottleneck": 4, "train_seed": 5,
         "quantile_q": 0.4, "kappa": 8.0, "info_proxy": "frobenius",
         "strategies": ["symmetric"],
     }
@@ -234,6 +230,13 @@ def test_run_report_echoes_every_key(tmp_path):
     ["run", "--set", "delta=1e-6"],
     ["run", "--set", "rank_eps=1e-10"],
     ["run", "--set", "out_dir=x"],
+    # the schedule shapes are TrainConfig constants, and cosine_lr is gone
+    ["run", "--set", "beta=0.5"],
+    ["run", "--set", "lambda_min=0.01"],
+    ["run", "--set", "lambda_max=0.1"],
+    ["run", "--set", "k_decay=2.3979"],
+    ["run", "--set", "tau_margin=0.07"],
+    ["run", "--set", "cosine_lr=false"],
 ])
 def test_run_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -257,7 +260,7 @@ def test_run_rejects_a_repeated_strategy_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "k_decay=NaN",
+@pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "kappa=NaN",
                                      "gamma=-Infinity"])
 def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys):
     out = tmp_path / "runs"
@@ -270,7 +273,7 @@ def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys
 # JSON values of the wrong type for each kind of run key, by its default's type
 _WRONG_TYPES = {int: ["2.5", "4.0", "true", '"3"'],
                 float: ["true", '"0.5"', "null", "NaN", "Infinity", "1" * 401],
-                bool: ["1"], str: ["5"], list: ['"one-a"']}
+                str: ["5"], list: ['"one-a"']}
 
 
 @pytest.mark.parametrize("key,raw", [
@@ -323,10 +326,11 @@ def test_run_set_reads_an_undecodable_value_as_a_bareword(raw, tmp_path, capsys)
 
 
 def test_run_large_beta_clamps_the_epoch_budget(tmp_path):
-    # 1000th powers of the task-size ratios overflow a float; the head
-    # tasks clamp to epochs_max and the tail tasks to epochs_min
+    # the largest epochs_base that converts to a float overflows it once
+    # scaled by a task-size ratio past 1; those tasks clamp to epochs_max
     out = tmp_path / "runs"
-    assert main(["run", "--set", "beta=1000", "--set", 'strategies=["per-task"]',
+    assert main(["run", *RUN_ARGS, "--set", f"epochs_base={2 ** 1024 - 2 ** 970 - 1}",
+                 "--set", "epochs_max=2", "--set", 'strategies=["per-task"]',
                  "--out-dir", str(out)]) == 0
     assert (out / "report-per-task.json").exists()
 
@@ -334,8 +338,8 @@ def test_run_large_beta_clamps_the_epoch_budget(tmp_path):
 @pytest.mark.parametrize("setting", ["epochs_base", "lr"])
 def test_run_rejects_integers_past_the_largest_float(setting, tmp_path, capsys):
     out = tmp_path / "runs"
-    assert main(["run", "--set", f"{setting}=1{'0' * 400}", "--set", "beta=1000",
-                 "--out-dir", str(out)]) == 2
+    assert main(["run", "--set", f"epochs_base=1{'0' * 300}",
+                 "--set", f"{setting}=1{'0' * 400}", "--out-dir", str(out)]) == 2
     assert "past the largest float" in capsys.readouterr().err
     assert not out.exists()
 
@@ -421,28 +425,32 @@ def test_merge_average_and_symmetric(tmp_path, capsys):
 
 
 def test_merge_average_n_prev_must_convert_to_a_float(tmp_path, capsys):
-    # the average weighs the carried module by float(n_prev); layers within
-    # (-1, 1) keep n * accumulated finite up to the largest such integer
+    # the average weighs the carried module by float(n_prev); up to 2**895,
+    # n * accumulated + new stays finite for any float32 layers
     acc = tmp_path / "acc.onea"
     save_module(make_module([np.full((4, 2), 0.5), np.full((2, 4), -0.25)],
                             task_id=1, class_ids=(0, 1), sample_count=40), acc)
     _, new = _two_modules(tmp_path)
+    biggest = tmp_path / "biggest.onea"
+    f32max = float(np.finfo(np.float32).max)
+    save_module(make_module([np.full((4, 2), f32max), np.full((2, 4), -f32max)],
+                            task_id=3, class_ids=(3,), sample_count=8), biggest)
     out = tmp_path / "merged.onea"
-    top = 2 ** 1024 - 2 ** 970 - 1    # the largest integer float() takes
-    for n_prev in (10 ** 308, top):
-        assert main(["merge", str(acc), str(new), "--out", str(out),
-                     "--strategy", "average", "--n-prev", str(n_prev)]) == 0
-        assert np.allclose(load_module(out).layers[0], 0.5)
+    top = 2 ** 895
+    for pair, want in (((acc, new), 0.5), ((biggest, biggest), f32max)):
+        assert main(["merge", *map(str, pair), "--out", str(out),
+                     "--strategy", "average", "--n-prev", str(top)]) == 0
+        assert np.allclose(load_module(out).layers[0], want)
         out.unlink()
         # the echo is clipped to its first and last digits
-        digits = str(n_prev)
+        digits = str(top)
         assert capsys.readouterr().out.splitlines()[0] == (
             f"averaged 2 layers with n_prev={digits[:19]}...{digits[-18:]}")
-    for n_prev in (top + 1, 10 ** 400):
+    for n_prev in (top + 1, 10 ** 308, 2 ** 1024 - 2 ** 970 - 1, 10 ** 400):
         assert main(["merge", str(acc), str(new), "--out", str(out),
                      "--strategy", "average", "--n-prev", str(n_prev)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: n_prev_tasks must lie in [1, 1797693")
+        assert err.startswith("error: n_prev_tasks must lie in [1, 2641472")
         assert err.count("\n") == 1 and len(err) < 130, err
         # top + 1 differs from the bound only in its last digit
         bound, value = re.fullmatch(r".*\[1, (\S+)\], got (\S+)\n", err).groups()
@@ -469,8 +477,25 @@ def test_merge_rejects_the_gate_constants_as_flags(flag, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if "error:" in line] == \
-        [f"onea: error: unrecognized arguments: {flag} {value}"]
+        [f"onea merge: error: unrecognized arguments: {flag} {value}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", ["--bogus"]), ("merge", ["--delta", "1e-4"]), ("eval", ["extra", "--x"])])
+def test_unknown_arguments_name_their_subcommand(command, extra, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    given = {"run": [], "merge": ["a.onea", "b.onea", "--out", "m.onea"],
+             "eval": ["r.json"]}[command]
+    assert main([command, *given, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    # the subcommand's usage, with the flags it does take, then its error
+    assert lines[0].startswith(f"usage: onea {command} [-h]")
+    assert lines[-1] == f"onea {command}: error: unrecognized arguments: {' '.join(extra)}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_merge_error_exit_codes(tmp_path, capsys):
@@ -549,7 +574,6 @@ def _small_run_configs(draw):
         "order": draw(st.sampled_from([o.value for o in TaskOrder])),
         "info_proxy": draw(st.sampled_from([p.value for p in InfoProxy])),
         "quantile_q": draw(st.sampled_from([0.0, 0.5, 1.0])),
-        "cosine_lr": draw(st.booleans()),
         "strategies": draw(st.lists(st.sampled_from([s.value for s in Strategy]),
                                     min_size=1, unique=True)),
         "stream_seed": draw(st.integers(0, 5)),
@@ -594,17 +618,11 @@ def _config_objects(draw):
                       samples_per_class=draw(st.integers(3, 10 ** 6)),
                       seed=draw(_SEEDS))
     epochs_min = draw(st.integers(0, 100))
-    lambda_min = draw(_reals(0.0, 1.0))
     train = TrainConfig(lr=draw(_reals(0.0, exclude_min=True)),
                         epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
                         epochs_max=draw(st.integers(epochs_min, 200)),
-                        beta=draw(_reals(0.0)), lambda_min=lambda_min,
-                        lambda_max=draw(_reals(lambda_min, 1.0)),
-                        k_decay=draw(_reals(0.0, exclude_min=True)),
-                        tau_margin=draw(_reals(0.0, 1.0, exclude_max=True)),
                         batch_size=draw(st.integers(1, 512)),
-                        bottleneck=draw(st.integers(1, 64)),
-                        cosine_lr=draw(st.booleans()), seed=draw(_SEEDS))
+                        bottleneck=draw(st.integers(1, 64)), seed=draw(_SEEDS))
     merge_cfg = MergeConfig(quantile_q=draw(_reals(0.0, 1.0)),
                             sharpness_kappa=draw(_reals(0.0, exclude_min=True)),
                             info_proxy=draw(st.sampled_from(InfoProxy)))

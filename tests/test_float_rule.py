@@ -20,11 +20,6 @@ def _spec(**kwargs):
 _SLOTS = {
     "StreamSpec.gamma": (lambda v: _spec(gamma=v).gamma, 0.5),
     "TrainConfig.lr": (lambda v: TrainConfig(lr=v).lr, 0.5),
-    "TrainConfig.beta": (lambda v: TrainConfig(beta=v).beta, 0.5),
-    "TrainConfig.lambda_min": (lambda v: TrainConfig(lambda_min=v).lambda_min, 0.05),
-    "TrainConfig.lambda_max": (lambda v: TrainConfig(lambda_max=v).lambda_max, 0.5),
-    "TrainConfig.k_decay": (lambda v: TrainConfig(k_decay=v).k_decay, 0.5),
-    "TrainConfig.tau_margin": (lambda v: TrainConfig(tau_margin=v).tau_margin, 0.5),
     "MergeConfig.quantile_q": (lambda v: MergeConfig(quantile_q=v).quantile_q, 0.5),
     "MergeConfig.sharpness_kappa":
         (lambda v: MergeConfig(sharpness_kappa=v).sharpness_kappa, 0.5),

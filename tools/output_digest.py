@@ -1,6 +1,6 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on thirteen configs x stream/train seeds {0, 3}, nine with
+Runs `onea run` on twelve configs x stream/train seeds {0, 3}, eight with
 the five strategies other than backbone (one of them on an ascending
 stream, head task last) and four with a single one
 (single-finetune alone trains only the continuation past the first task,
@@ -47,7 +47,6 @@ from pathlib import Path
 STRATEGIES = ["one-a", "average", "symmetric", "per-task", "single-finetune"]
 CONFIGS = {
     "default": {},
-    "cosine-lr": {"cosine_lr": True},
     "descending-frobenius": {"order": "descending", "info_proxy": "frobenius"},
     "ascending": {"order": "ascending"},
     "batch7-energy": {"batch_size": 7, "samples_per_class": 23,
