@@ -241,12 +241,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports arguments it does not take in its
+    own name and usage, where argparse would hand them to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onea",
         description="Asymmetric adapter fusion for step-imbalanced "
                     "class-incremental learning.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     gen = sub.add_parser("gen-stream", help="write a task-stream manifest")
     gen.add_argument("--classes", type=int, required=True)
@@ -292,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out-csv", default=None)
     cmp_.add_argument("--out-json", default=None)
     cmp_.set_defaults(func=cmd_compare)
-    for command in sub.choices.values():  # main reports unknown flags through it
-        command.set_defaults(parser=command)
     return parser
 
 
@@ -302,11 +312,8 @@ _EXIT_CODES = ((FormatError, 4), (NumericError, 3), (OSError, 4), (OneaError, 2)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
-        if unknown:
-            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -104,16 +104,8 @@ def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
 def epoch_schedule(class_count: int, total_classes: int, num_tasks: int,
                    cfg: TrainConfig) -> int:
     """Epoch budget scaled by task size relative to the balanced size C/T."""
-    return _epochs_for(class_count, check_int("total_classes", total_classes, 1)
-                       / check_int("num_tasks", num_tasks, 1), cfg)
-
-
-def _epochs_for(class_count: int, t0: float, cfg: TrainConfig) -> int:
-    class_count = check_int("class_count", class_count, 1)
-    t0 = check_float("reference task size", t0)
-    if t0 <= 0.0:
-        raise ConfigError(f"reference task size must be > 0, got {t0}")
-    ratio = class_count / t0
+    t0 = check_int("total_classes", total_classes, 1) / check_int("num_tasks", num_tasks, 1)
+    ratio = check_int("class_count", class_count, 1) / t0
     # a budget at or past epochs_max + 1 clamps to epochs_max; deciding that
     # in log space keeps a large epochs_base from overflowing a float
     if math.log(cfg.epochs_base) + cfg.beta * math.log(ratio) \
@@ -246,7 +238,7 @@ def _initial_params(init: AdapterModule | None, seed: int, d: int, b: int,
 
 
 def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
-               inits=(None,), *, t0: float | None = None) -> list[AdapterModule]:
+               inits=(None,), *, epochs: int) -> list[AdapterModule]:
     """Train adapters (each with a discarded local head) on a single task.
 
     Every member sees the task's one batch sequence (stream key
@@ -258,12 +250,13 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
         task: metadata plus the train split to fit.
         inits: one entry per member: an adapter to continue from, or None
             for a fresh initialization.
-        t0: reference task size C / T of the surrounding stream; defaults
-            to this task's own class count (epoch budget epochs_base).
+        epochs: passes over the train split, at least 0; run_strategies
+            takes each task's from epoch_schedule.
 
     Returns:
         The trained AdapterModules, one per entry of inits, in order.
     """
+    epochs = check_int("epochs", epochs, 0)
     meta, data = task.meta, task.data
     n = data.train_x.shape[0]
     if n == 0:
@@ -281,7 +274,6 @@ def train_task(task: Task, backbone: Backbone, cfg: TrainConfig,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, meta.task_id)))
     y_local = np.searchsorted(classes, data.train_y)
     lam = lambda_schedule(k, cfg)
-    epochs = _epochs_for(k, t0 if t0 is not None else float(k), cfg)
     h_all = backbone.features(data.train_x)
     diverged = (f"loss diverged on task {meta.task_id} "
                 f"(seed={cfg.seed}, lr={cfg.lr}, batch={cfg.batch_size})")
@@ -432,26 +424,23 @@ FOLD_STRATEGIES = tuple(s for s, rule in _RULES.items() if rule.fold)
 PER_TASK_STRATEGIES = tuple(s for s, rule in _RULES.items() if rule.per_task)
 
 
-def fold(strategy: Strategy, carried: AdapterModule | None, new: AdapterModule,
+def fold(strategy: Strategy, carried: AdapterModule, new: AdapterModule,
          n_prev: int, merge_cfg: MergeConfig
          ) -> tuple[AdapterModule, MergeTrace | None]:
     """Fold a newly trained adapter into the carried one.
 
     Args:
         strategy: one of FOLD_STRATEGIES.
-        carried: the adapter folded so far, or None before the first task,
-            in which case the new adapter is returned verbatim.
+        carried: the adapter folded so far.
         n_prev: tasks already absorbed into carried (the average's weight).
 
-    Returns (module, MergeTrace); the trace is None for the first task and
-    for average, and for symmetric has carried as its base.
+    Returns (module, MergeTrace); the trace is None for average, and for
+    symmetric has carried as its base.
     """
     if strategy not in FOLD_STRATEGIES:
         names = ", ".join(s.value for s in FOLD_STRATEGIES)
         raise ConfigError(f"fold supports {names}; "
                           f"got '{getattr(strategy, 'value', strategy)}'")
-    if carried is None:
-        return new, None
     return _RULES[strategy].fold(carried, new, n_prev, merge_cfg)
 
 
@@ -492,7 +481,7 @@ class _StrategyRun:
         test data seen so far, given as its backbone features eval_h (the
         new task's rows last). new is the adapter that the rule absorbs."""
         carried = self.adapters[0] if self.adapters else None
-        if self.rule.fold:
+        if self.rule.fold and carried is not None:
             svd_start = SVD_CALLS.value
             tick = time.perf_counter()
             adapter, _ = fold(self.strategy, carried, new, idx, self.merge_cfg)
@@ -539,15 +528,16 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
     Each task is trained at most once: one train_task call trains the
     task's fresh adapter and, for single-finetune past the first task, the
     continuation of its carried adapter, in one stacked pass over its
-    batches. Every strategy then absorbs the adapter its rule names (fold,
-    append, or replace), records prototypes for the task's classes under
-    its current model, and measures accuracy
-    task-agnostically over all test data seen so far. Each report is
-    bit-reproducible given (stream seed, train seed, config, strategy) and
-    does not depend on which other strategies share the pass or their
-    order; only its timing block varies between runs.
-    svd_calls and timings.merge_ms cover that strategy's own folds, and
-    timings.total_s is the wall time of the whole shared pass.
+    batches for the task's epoch_schedule budget. Every strategy then
+    absorbs the adapter its rule names (fold, append, or replace), records
+    prototypes for the task's classes under its current model, and
+    measures accuracy task-agnostically over all test data seen so far.
+    Each report is bit-reproducible given (stream seed, train seed, config,
+    strategy) and does not depend on which other strategies share the pass
+    or their order; only its timing block varies between runs.
+    svd_calls and timings.merge_ms cover that strategy's own folds (no fold
+    runs at the first task), and timings.total_s is the wall time of the
+    whole shared pass.
 
     Returns one (RunReport, deployable adapters) pair per strategy, in the
     given order: one merged module, or one per task for per-task.
@@ -561,7 +551,6 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
     merge_cfg = MergeConfig() if merge_cfg is None else merge_cfg
     spec = stream.spec
     t_total = len(stream.tasks)
-    t0 = spec.total_classes / spec.num_tasks
     backbone = Backbone.from_seed(
         stream.tasks[0].data.train_x.shape[1], BACKBONE_DIM,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
@@ -577,7 +566,9 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
         inits = [None] if "fresh" in absorbs or (idx == 0 and finetune) else []
         if finetune is not None and idx > 0:
             inits.append(finetune.adapters[0])
-        trained = train_task(task, backbone, cfg, inits, t0=t0) if inits else [None]
+        epochs = epoch_schedule(task.meta.class_count, spec.total_classes,
+                                spec.num_tasks, cfg)
+        trained = train_task(task, backbone, cfg, inits, epochs=epochs) if inits else [None]
         identity = AdapterModule(layers=(zeros, zeros.T), meta=task.meta) \
             if "identity" in absorbs else None
         new = {"fresh": trained[0], "continued": trained[-1], "identity": identity}

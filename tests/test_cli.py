@@ -325,7 +325,7 @@ def test_run_set_reads_an_undecodable_value_as_a_bareword(raw, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_run_large_beta_clamps_the_epoch_budget(tmp_path):
+def test_run_largest_epochs_base_clamps_the_epoch_budget(tmp_path):
     # the largest epochs_base that converts to a float overflows it once
     # scaled by a task-size ratio past 1; those tasks clamp to epochs_max
     out = tmp_path / "runs"
@@ -482,19 +482,23 @@ def test_merge_rejects_the_gate_constants_as_flags(flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("run", ["--bogus"]), ("merge", ["--delta", "1e-4"]), ("eval", ["extra", "--x"])])
+    ("run", ["--bogus"]), ("merge", ["--delta", "1e-4"]), ("eval", ["extra", "--x"]),
+    ("onea", ["--bogus"])])
 def test_unknown_arguments_name_their_subcommand(command, extra, tmp_path,
                                                  monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    given = {"run": [], "merge": ["a.onea", "b.onea", "--out", "m.onea"],
-             "eval": ["r.json"]}[command]
-    assert main([command, *given, *extra]) == 2
+    # "onea" is the top level: a flag given before the subcommand is its own
+    argv = {"run": ["run", *extra],
+            "merge": ["merge", "a.onea", "b.onea", "--out", "m.onea", *extra],
+            "eval": ["eval", "r.json", *extra], "onea": [*extra, "run"]}[command]
+    prog = "onea" if command == "onea" else f"onea {command}"
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    # the subcommand's usage, with the flags it does take, then its error
-    assert lines[0].startswith(f"usage: onea {command} [-h]")
-    assert lines[-1] == f"onea {command}: error: unrecognized arguments: {' '.join(extra)}"
+    # the parser's usage, with the flags it does take, then its error
+    assert lines[0].startswith(f"usage: {prog} [-h]")
+    assert lines[-1] == f"{prog}: error: unrecognized arguments: {' '.join(extra)}"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -528,6 +532,23 @@ def test_merge_error_exit_codes(tmp_path, capsys):
 
     assert main(["merge", str(pa), str(tmp_path / "absent.onea"),
                  "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("strategy", ["one-a", "symmetric"])
+def test_merge_svd_failure_exits_3(strategy, tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    pa, pb = _two_modules(tmp_path)
+    out = tmp_path / "merged.onea"
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["merge", str(pa), str(pb), "--out", str(out),
+                 "--strategy", strategy]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SVD did not converge")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("strategy", ["one-a", "average", "symmetric"])
@@ -656,6 +677,24 @@ def test_eval_prints_metrics(tmp_path, capsys):
                             "weighted_avg_accuracy", "forgetting"}
     csv_line = stdout.strip().splitlines()[-1]
     assert len(csv_line.split(",")) == 4
+
+
+def test_one_task_reports_leave_forgetting_empty(tmp_path, capsys):
+    # forgetting needs a second task: eval prints null and an empty CSV
+    # cell, and compare leaves its column empty
+    out = tmp_path / "runs"
+    assert main(["run", "--set", "classes=4", "--set", "tasks=1", "--set",
+                 'strategies=["one-a", "per-task"]', "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(out / "report-one-a.json")]) == 0
+    printed = capsys.readouterr().out
+    assert '"forgetting": null' in printed
+    assert printed.splitlines()[-1] == "0.900000,0.900000,0.900000,"
+    assert main(["compare", str(out / "report-one-a.json"),
+                 str(out / "report-per-task.json")]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("forgetting")
+    assert [row.split(",")[column] for row in rows] == ["", ""]
 
 
 def test_eval_error_exit_codes(tmp_path, capsys):

@@ -5,8 +5,9 @@ ConfigError, and a numpy integer is accepted and stored as a Python int."""
 import numpy as np
 import pytest
 
-from onea import (ConfigError, StreamSpec, TaskMeta, TrainConfig, class_ratios,
-                  epoch_schedule, lambda_schedule, merge_average)
+from onea import (Backbone, ConfigError, StreamSpec, TaskMeta, TrainConfig,
+                  build_stream, class_ratios, epoch_schedule, lambda_schedule,
+                  merge_average, train_task)
 from onea.errors import check_int
 
 from conftest import make_module
@@ -27,6 +28,8 @@ def _meta(**kwargs):
 _CFG = TrainConfig()
 _ACC = make_module([np.ones((2, 2))], task_id=1)
 _NEW = make_module([3.0 * np.ones((2, 2))], task_id=2)
+_TASK = build_stream(_spec()).tasks[0]
+_BACKBONE = Backbone.from_seed(32, 8, 0)
 
 # name -> (a call that puts its argument in the slot and returns what was
 # stored or computed, a valid value for the slot); a numpy integer must
@@ -51,6 +54,8 @@ _SLOTS = {
     "epoch_schedule.class_count": (lambda v: epoch_schedule(v, 20, 5, _CFG), 3),
     "epoch_schedule.total_classes": (lambda v: epoch_schedule(4, v, 5, _CFG), 3),
     "epoch_schedule.num_tasks": (lambda v: epoch_schedule(4, 20, v, _CFG), 3),
+    "train_task.epochs":
+        (lambda v: train_task(_TASK, _BACKBONE, _CFG, epochs=v)[0].layers[1].tolist(), 3),
     "class_ratios.total_classes": (lambda v: tuple(class_ratios(v, 0.5)), 3),
     "merge_average.n_prev_tasks":
         (lambda v: merge_average(_NEW, _ACC, v).layers[0].tolist(), 3),

@@ -298,7 +298,7 @@ def test_train_task_learns_an_easy_pair():
     stream = _single_task_stream()
     task = stream.tasks[0]
     backbone = Backbone.from_seed(32, 32, 0)
-    (module,) = train_task(task, backbone, TrainConfig())
+    (module,) = train_task(task, backbone, TrainConfig(), epochs=15)
     bank = compute_prototypes(module, backbone, task.data)
     preds = classify_batch(task.data.train_x, module, backbone, bank)
     assert np.mean(preds == task.data.train_y) >= 0.95
@@ -308,18 +308,18 @@ def test_train_task_learns_an_easy_pair():
 def test_train_task_is_deterministic():
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    (a,) = train_task(task, backbone, QUICK)
-    (b,) = train_task(task, backbone, QUICK)
+    (a,) = train_task(task, backbone, QUICK, epochs=2)
+    (b,) = train_task(task, backbone, QUICK, epochs=2)
     for wa, wb in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb)
     assert a.meta == task.meta
 
 
 def test_train_task_zero_epochs_keeps_residual_identity():
-    cfg = TrainConfig(epochs_min=0)
+    cfg = TrainConfig()
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    (module,) = train_task(task, backbone, cfg, t0=1e9)
+    (module,) = train_task(task, backbone, cfg, epochs=0)
     assert np.array_equal(module.layers[1], np.zeros((cfg.bottleneck, 16)))
     assert np.any(module.layers[0] != 0.0)
     adapted = adapted_features(task.data.train_x, module, backbone)
@@ -329,9 +329,9 @@ def test_train_task_zero_epochs_keeps_residual_identity():
 def test_train_task_warm_start_continues():
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    (first,) = train_task(stream.tasks[0], backbone, QUICK)
-    (cont,) = train_task(stream.tasks[1], backbone, QUICK, [first])
-    (fresh,) = train_task(stream.tasks[1], backbone, QUICK)
+    (first,) = train_task(stream.tasks[0], backbone, QUICK, epochs=2)
+    (cont,) = train_task(stream.tasks[1], backbone, QUICK, [first], epochs=2)
+    (fresh,) = train_task(stream.tasks[1], backbone, QUICK, epochs=2)
     assert cont.meta == stream.tasks[1].meta
     assert not np.array_equal(cont.layers[0], fresh.layers[0])
 
@@ -345,7 +345,7 @@ def test_train_task_rejects_mismatched_init():
                    [np.zeros((16, b)), np.zeros((b + 1, 16))]):
         wrong = make_module(layers)
         with pytest.raises(ShapeError):
-            train_task(stream.tasks[0], backbone, QUICK, [None, wrong])
+            train_task(stream.tasks[0], backbone, QUICK, [None, wrong], epochs=2)
 
 
 def test_train_task_steps_by_lr(monkeypatch):
@@ -358,9 +358,8 @@ def test_train_task_steps_by_lr(monkeypatch):
 
     monkeypatch.setattr(sim, "objective_grads", constant_grads)
     task = _tiny_stream().tasks[0]
-    cfg = TrainConfig(lr=0.1, epochs_base=2, epochs_min=2, epochs_max=2,
-                      batch_size=task.data.train_x.shape[0])
-    (module,) = train_task(task, Backbone.from_seed(32, 16, 0), cfg)
+    cfg = TrainConfig(lr=0.1, batch_size=task.data.train_x.shape[0])
+    (module,) = train_task(task, Backbone.from_seed(32, 16, 0), cfg, epochs=2)
     assert len(seen) == 2
     assert np.allclose(seen[0] - seen[1], 0.1, rtol=0.0, atol=1e-12)
     assert np.allclose(seen[1] - module.layers[0], 0.1, rtol=0.0, atol=1e-12)
@@ -369,13 +368,35 @@ def test_train_task_steps_by_lr(monkeypatch):
 def test_train_task_divergence_reports_config():
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    wild = TrainConfig(lr=1e300, epochs_base=8, epochs_min=1)
+    wild = TrainConfig(lr=1e300)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TrainingError) as err:
-            train_task(task, backbone, wild)
+            train_task(task, backbone, wild, epochs=8)
     assert "seed=0" in str(err.value)
     assert "lr=1e+300" in str(err.value)
+
+
+def test_train_task_non_finite_loss_raises_the_divergence_message(monkeypatch):
+    # BLAS kernels may not raise numpy's flags, so a NaN loss that no
+    # floating-point error announced is reported as the same divergence
+    task = _tiny_stream().tasks[0]
+    backbone = Backbone.from_seed(32, 16, 0)
+    wild = TrainConfig(lr=1e300)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TrainingError) as flagged:
+            train_task(task, backbone, wild, epochs=8)
+
+    def nan_loss(h, y, params, lam, tau):
+        return (np.full(params["w_down"].shape[0], np.nan),
+                {name: np.zeros_like(value) for name, value in params.items()})
+
+    monkeypatch.setattr(sim, "objective_grads", nan_loss)
+    with pytest.raises(TrainingError) as checked:
+        train_task(task, backbone, wild, epochs=8)
+    assert str(checked.value) == str(flagged.value)
+    assert str(checked.value).startswith(f"loss diverged on task {task.meta.task_id} ")
 
 
 # (classes, tasks, batch_size): 16 train rows per task in 5-row batches end
@@ -385,14 +406,13 @@ def test_train_task_divergence_reports_config():
 def test_train_task_stacked_members_match_solo_calls(classes, tasks, batch_size):
     stream = _tiny_stream(total_classes=classes, num_tasks=tasks,
                           order=TaskOrder.BALANCED)
-    cfg = TrainConfig(epochs_base=2, epochs_min=1, batch_size=batch_size,
-                      bottleneck=4)
+    cfg = TrainConfig(batch_size=batch_size, bottleneck=4)
     backbone = Backbone.from_seed(32, 16, 0)
-    (carried,) = train_task(stream.tasks[0], backbone, cfg)
+    (carried,) = train_task(stream.tasks[0], backbone, cfg, epochs=2)
     task = stream.tasks[1]
-    fresh, cont = train_task(task, backbone, cfg, [None, carried])
-    (solo_fresh,) = train_task(task, backbone, cfg)
-    (solo_cont,) = train_task(task, backbone, cfg, [carried])
+    fresh, cont = train_task(task, backbone, cfg, [None, carried], epochs=2)
+    (solo_fresh,) = train_task(task, backbone, cfg, epochs=2)
+    (solo_cont,) = train_task(task, backbone, cfg, [carried], epochs=2)
     for stacked, solo in ((fresh, solo_fresh), (cont, solo_cont)):
         assert stacked.meta == solo.meta == task.meta
         for w_stacked, w_solo in zip(stacked.layers, solo.layers):
@@ -403,23 +423,32 @@ def test_train_task_stacked_members_match_solo_calls(classes, tasks, batch_size)
 def test_train_task_stacked_divergence_raises_the_solo_message():
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    (carried,) = train_task(stream.tasks[0], backbone, QUICK)
-    wild = TrainConfig(lr=1e300, epochs_base=8, epochs_min=1,
-                       batch_size=QUICK.batch_size, bottleneck=QUICK.bottleneck)
+    (carried,) = train_task(stream.tasks[0], backbone, QUICK, epochs=2)
+    wild = TrainConfig(lr=1e300, batch_size=QUICK.batch_size, bottleneck=QUICK.bottleneck)
     messages = []
     for inits in ([None], [carried], [None, carried], [carried, None]):
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingError) as err:
-                train_task(stream.tasks[1], backbone, wild, inits)
+                train_task(stream.tasks[1], backbone, wild, inits, epochs=8)
         messages.append(str(err.value))
     assert len(set(messages)) == 1
     assert "loss diverged on task 2" in messages[0]
 
 
+def test_train_task_needs_a_valid_epoch_count():
+    task = _tiny_stream().tasks[0]
+    backbone = Backbone.from_seed(32, 16, 0)
+    with pytest.raises(TypeError, match="epochs"):
+        train_task(task, backbone, QUICK)
+    with pytest.raises(ConfigError, match="^epochs must be >= 0, got -1$"):
+        train_task(task, backbone, QUICK, epochs=-1)
+
+
 def test_train_task_needs_an_init():
     with pytest.raises(ConfigError, match="at least one init"):
-        train_task(_tiny_stream().tasks[0], Backbone.from_seed(32, 16, 0), QUICK, [])
+        train_task(_tiny_stream().tasks[0], Backbone.from_seed(32, 16, 0), QUICK, [],
+                   epochs=2)
 
 
 def test_train_task_rejects_empty_task():
@@ -430,7 +459,7 @@ def test_train_task_rejects_empty_task():
     task = Task(meta=TaskMeta(task_id=1, class_ids=frozenset({0}),
                               sample_count=0), data=empty)
     with pytest.raises(ConfigError):
-        train_task(task, Backbone.from_seed(32, 16, 0), QUICK)
+        train_task(task, Backbone.from_seed(32, 16, 0), QUICK, epochs=2)
 
 
 # --------------------------------------------------------------- prototypes
@@ -897,12 +926,17 @@ def test_zero_epochs_match_the_backbone_floor(order, seed):
 
 
 def test_fold_first_task_and_non_merge_strategies():
+    # the first task has nothing to fold into: each fold strategy keeps the
+    # task's fresh adapter as per-task does, with no merge time and no SVD
+    results = run_strategies(_single_task_stream(),
+                             [Strategy.PER_TASK, *sim.FOLD_STRATEGIES], QUICK)
+    (fresh,) = results[0][1]
+    for report, (adapter,) in results[1:]:
+        assert modules_equal(adapter, fresh), report.strategy
+        assert report.timings["merge_ms"] == [0.0] and report.svd_calls == 0
     rng = np.random.default_rng(3)
     new = make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))])
     cfg = MergeConfig()
-    for strategy in (Strategy.ONE_A, Strategy.AVERAGE, Strategy.SYMMETRIC):
-        folded, trace = fold(strategy, None, new, 0, cfg)
-        assert folded is new and trace is None
     for strategy in (Strategy.PER_TASK, Strategy.SINGLE_FINETUNE,
                      Strategy.BACKBONE, "one-a"):
         with pytest.raises(ConfigError):

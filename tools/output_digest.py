@@ -1,8 +1,9 @@
 """Digest of onea's outputs on a fixed config matrix.
 
-Runs `onea run` on twelve configs x stream/train seeds {0, 3}, eight with
+Runs `onea run` on thirteen configs x stream/train seeds {0, 3}, nine with
 the five strategies other than backbone (one of them on an ascending
-stream, head task last) and four with a single one
+stream, head task last, and one-task on a stream of a single task, where
+no fold runs and no report has a forgetting value) and four with a single one
 (single-finetune alone trains only the continuation past the first task,
 per-task alone only fresh adapters; per-task-one-row has one test row per
 task, so every test block is scored through the single-row product path;
@@ -61,6 +62,7 @@ CONFIGS = {
                          "batch_size": 4, "strategies": ["per-task"]},
     "zero-updates": {"epochs_min": 0, "epochs_max": 0, "info_proxy": "frobenius"},
     "bottleneck3": {"classes": 12, "tasks": 4, "bottleneck": 3},
+    "one-task": {"classes": 4, "tasks": 1},
 }
 SEEDS = (0, 3)
 MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--proxy", "frobenius",
