@@ -286,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--out", required=True)
     merge.add_argument("--strategy", default=FOLD_STRATEGIES[0].value,
                        choices=[s.value for s in FOLD_STRATEGIES])
-    merge.add_argument("--quantile-q", type=float, default=MergeConfig.quantile_q)
-    merge.add_argument("--kappa", type=float, default=MergeConfig.sharpness_kappa)
     merge.add_argument("--proxy", dest="info_proxy",
                        default=MergeConfig.info_proxy.value,
                        choices=[p.value for p in InfoProxy])

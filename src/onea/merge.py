@@ -32,7 +32,7 @@ class InfoProxy(enum.Enum):
 
 
 def _unit_interval(name: str, value) -> float:
-    """check_float, then the [0, 1] range of quantile_q and the merge weights."""
+    """check_float, then the [0, 1] range of the merge weights."""
     value = check_float(name, value)
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value}")
@@ -41,26 +41,21 @@ def _unit_interval(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Knobs of the asymmetric merge.
+    """Knobs of the asymmetric merge: info_proxy, and four constants.
 
     quantile_q picks the gate threshold within the normalized spectrum and
-    sharpness_kappa sets how hard the gate saturates. Two constants: delta
-    guards the spectrum normalization, and rank_eps defines the effective
-    rank: singular values at or below rank_eps * sigma_1 count as noise.
+    sharpness_kappa sets how hard the gate saturates; delta guards the
+    spectrum normalization, and rank_eps defines the effective rank:
+    singular values at or below rank_eps * sigma_1 count as noise.
     """
 
+    quantile_q: ClassVar[float] = 0.5
+    sharpness_kappa: ClassVar[float] = 10.0
     delta: ClassVar[float] = 1e-6
     rank_eps: ClassVar[float] = 1e-10
-    quantile_q: float = 0.5
-    sharpness_kappa: float = 10.0
     info_proxy: InfoProxy = InfoProxy.CLASS_COUNT
 
     def __post_init__(self):
-        for name in ("quantile_q", "sharpness_kappa"):
-            object.__setattr__(self, name, check_float(name, getattr(self, name)))
-        _unit_interval("quantile_q", self.quantile_q)
-        if self.sharpness_kappa <= 0.0:
-            raise ConfigError(f"sharpness_kappa must be > 0, got {self.sharpness_kappa}")
         if not isinstance(self.info_proxy, InfoProxy):
             raise ConfigError(f"info_proxy must be an InfoProxy, got {self.info_proxy!r}")
 

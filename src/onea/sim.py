@@ -24,7 +24,8 @@ from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
 from .merge import (MergeConfig, MergeTrace, _merge_traced, info_weights,
                     merge_average, merge_symmetric)
 from .metrics import RunReport, Strategy
-from .stream import MAX_SEED, StreamSpec, Task, TaskStream, config_values
+from .stream import (MAX_SEED, MAX_STREAM_SAMPLES, StreamSpec, Task, TaskStream,
+                     config_values)
 
 BACKBONE_DIM = 32
 _INT64 = np.iinfo(np.int64)
@@ -78,10 +79,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("epochs_base", 1), ("epochs_min", 0),
-                          ("epochs_max", self.epochs_min), ("batch_size", 1),
-                          ("bottleneck", 1)):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+        for name, low, high in (("epochs_base", 1, None), ("epochs_min", 0, None),
+                                ("epochs_max", self.epochs_min, None),
+                                ("batch_size", 1, None), ("bottleneck", 1, BACKBONE_DIM)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
         check_float("epochs_base", self.epochs_base)  # the epoch budget scales it as a float
         object.__setattr__(self, "lr", check_float("lr", self.lr))
@@ -104,7 +105,8 @@ def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
 def epoch_schedule(class_count: int, total_classes: int, num_tasks: int,
                    cfg: TrainConfig) -> int:
     """Epoch budget scaled by task size relative to the balanced size C/T."""
-    t0 = check_int("total_classes", total_classes, 1) / check_int("num_tasks", num_tasks, 1)
+    t0 = (check_int("total_classes", total_classes, 1, MAX_STREAM_SAMPLES)
+          / check_int("num_tasks", num_tasks, 1))
     ratio = check_int("class_count", class_count, 1) / t0
     # a budget at or past epochs_max + 1 clamps to epochs_max; deciding that
     # in log space keeps a large epochs_base from overflowing a float

@@ -14,13 +14,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adapter import TaskMeta, freeze
-from .errors import ConfigError, check_float, check_int
+from .errors import ConfigError, check_float, check_int, clip
 
 FEATURE_DIM = 32       # input dimension of every synthetic sample
 MEAN_RADIUS = 4.0      # class means are drawn uniformly on this sphere
 NOISE_SCALE = 1.0      # isotropic stddev around each class mean
 TRAIN_FRACTION = 0.8
 MAX_SEED = 2 ** 64 - 1  # seeds are numpy SeedSequence entropy: unsigned 64-bit
+# samples in one stream, classes times samples_per_class: at this bound the
+# float64 sample array of FEATURE_DIM columns is 1 GiB
+MAX_STREAM_SAMPLES = 2 ** 22
 
 # The one table between the fields of the config objects (StreamSpec here,
 # sim.TrainConfig, merge.MergeConfig) and their flat `onea run` keys, by
@@ -28,8 +31,7 @@ MAX_SEED = 2 ** 64 - 1  # seeds are numpy SeedSequence entropy: unsigned 64-bit
 CONFIG_KEYS = {("StreamSpec", "total_classes"): "classes",
                ("StreamSpec", "num_tasks"): "tasks",
                ("StreamSpec", "seed"): "stream_seed",
-               ("TrainConfig", "seed"): "train_seed",
-               ("MergeConfig", "sharpness_kappa"): "kappa"}
+               ("TrainConfig", "seed"): "train_seed"}
 
 
 def config_keys(cls) -> dict:
@@ -69,8 +71,11 @@ class StreamSpec:
         c = check_int("total_classes", self.total_classes, 2)
         object.__setattr__(self, "total_classes", c)
         object.__setattr__(self, "num_tasks", check_int("num_tasks", self.num_tasks, 1, c))
-        object.__setattr__(self, "samples_per_class",
-                           check_int("samples_per_class", self.samples_per_class))
+        n = check_int("samples_per_class", self.samples_per_class)
+        object.__setattr__(self, "samples_per_class", n)
+        if c * n > MAX_STREAM_SAMPLES:
+            raise ConfigError(f"total_classes * samples_per_class must be <= "
+                              f"{MAX_STREAM_SAMPLES}, got {clip(str(c))} * {clip(str(n))}")
         object.__setattr__(self, "seed", check_int("stream seed", self.seed, 0, MAX_SEED))
         object.__setattr__(self, "gamma", check_float("gamma", self.gamma))
         if not 0.0 < self.gamma <= 1.0:
@@ -132,7 +137,7 @@ class TaskStream:
 
 def class_ratios(total_classes: int, gamma: float) -> np.ndarray:
     """Exponential long-tail curve r_k = gamma ** (k / (C - 1))."""
-    total_classes = check_int("total_classes", total_classes, 2)
+    total_classes = check_int("total_classes", total_classes, 2, MAX_STREAM_SAMPLES)
     gamma = check_float("gamma", gamma)
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")

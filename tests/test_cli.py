@@ -17,7 +17,8 @@ from onea import (InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
                   TaskOrder, TrainConfig, load_module, save_module, step_damage)
 from onea.cli import RUN_DEFAULTS, _build_objects, main
 from onea.counters import SVD_CALLS
-from onea.sim import run_config
+from onea.sim import BACKBONE_DIM, run_config
+from onea.stream import MAX_STREAM_SAMPLES
 
 from conftest import make_module
 
@@ -77,6 +78,21 @@ def test_gen_stream_bad_flags_exit_2(capsys):
     assert main(["gen-stream", "--classes", "5", "--tasks", "9"]) == 2
     assert main(["gen-stream", "--classes", "10", "--tasks", "2",
                  "--order", "sideways"]) == 2
+
+
+@pytest.mark.parametrize("classes, samples", [("1" + "0" * 400, "50"), ("100000000", "3")],
+                         ids=["401-digits", "1e8"])
+def test_gen_stream_too_big_to_build_exits_2(classes, samples, tmp_path, capsys):
+    # the spec bounds the stream's samples, so no array is allocated
+    out = tmp_path / "manifest.json"
+    assert main(["gen-stream", "--classes", classes, "--tasks", "1",
+                 "--samples-per-class", samples, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: total_classes * samples_per_class "
+                                   f"must be <= {MAX_STREAM_SAMPLES}, got ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------- run
@@ -188,7 +204,7 @@ def test_run_defaults_keys_values_and_types():
         "samples_per_class": 50, "stream_seed": 0,
         "lr": 0.1, "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
         "batch_size": 32, "bottleneck": 8, "train_seed": 0,
-        "quantile_q": 0.5, "kappa": 10.0, "info_proxy": "class-count",
+        "info_proxy": "class-count",
         "strategies": ["one-a", "average"],
     }
     assert RUN_DEFAULTS == want
@@ -203,7 +219,7 @@ def test_run_report_echoes_every_key(tmp_path):
         "samples_per_class": 10, "stream_seed": 3,
         "lr": 0.05, "epochs_base": 1, "epochs_min": 1, "epochs_max": 3,
         "batch_size": 7, "bottleneck": 4, "train_seed": 5,
-        "quantile_q": 0.4, "kappa": 8.0, "info_proxy": "frobenius",
+        "info_proxy": "frobenius",
         "strategies": ["symmetric"],
     }
     assert set(conf) == set(RUN_DEFAULTS)
@@ -237,6 +253,11 @@ def test_run_report_echoes_every_key(tmp_path):
     ["run", "--set", "k_decay=2.3979"],
     ["run", "--set", "tau_margin=0.07"],
     ["run", "--set", "cosine_lr=false"],
+    # the gate's threshold quantile and sharpness are MergeConfig constants
+    ["run", "--set", "quantile_q=0.5"],
+    ["run", "--set", "kappa=10"],
+    # a bottleneck adapter is no wider than the backbone's 32 features
+    ["run", "--set", "bottleneck=33"],
 ])
 def test_run_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -260,8 +281,7 @@ def test_run_rejects_a_repeated_strategy_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "kappa=NaN",
-                                     "gamma=-Infinity"])
+@pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "gamma=-Infinity"])
 def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["run", *RUN_ARGS, "--set", setting, "--out-dir", str(out)]) == 2
@@ -291,10 +311,10 @@ def test_each_run_key_rejects_a_wrong_type_before_out_dir(key, raw, tmp_path,
 
 
 @pytest.mark.parametrize("field", ["total_classes", "num_tasks", "samples_per_class",
-                                   "stream seed", "train seed", "sharpness_kappa"])
+                                   "stream seed", "train seed"])
 def test_run_type_errors_name_the_field_rule(field, tmp_path, capsys):
     key = {"total_classes": "classes", "num_tasks": "tasks", "stream seed": "stream_seed",
-           "train seed": "train_seed", "sharpness_kappa": "kappa"}.get(field, field)
+           "train seed": "train_seed"}.get(field, field)
     out = tmp_path / "runs"
     assert main(["run", "--set", f'{key}="x"', "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
@@ -467,12 +487,14 @@ def test_merge_rejects_the_backbone_strategy(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--delta", "--rank-eps"])
+@pytest.mark.parametrize("flag", ["--delta", "--rank-eps", "--quantile-q", "--kappa"])
 def test_merge_rejects_the_gate_constants_as_flags(flag, tmp_path, capsys):
-    # delta and rank_eps are MergeConfig constants, not options
+    # delta, rank_eps, quantile_q and sharpness_kappa are MergeConfig
+    # constants, not options
     pa, pb = _two_modules(tmp_path)
     out = tmp_path / "merged.onea"
-    value = {"--delta": "1e-4", "--rank-eps": "0.5"}[flag]
+    value = {"--delta": "1e-4", "--rank-eps": "0.5", "--quantile-q": "0.3",
+             "--kappa": "5"}[flag]
     assert main(["merge", str(pa), str(pb), "--out", str(out), flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -594,6 +616,7 @@ def _small_run_configs(draw):
         "bottleneck": draw(st.integers(1, 3)),
         "order": draw(st.sampled_from([o.value for o in TaskOrder])),
         "info_proxy": draw(st.sampled_from([p.value for p in InfoProxy])),
+        # not a run key: the test patches the MergeConfig constant
         "quantile_q": draw(st.sampled_from([0.0, 0.5, 1.0])),
         "strategies": draw(st.lists(st.sampled_from([s.value for s in Strategy]),
                                     min_size=1, unique=True)),
@@ -609,13 +632,15 @@ def _small_run_configs(draw):
 def test_validated_small_configs_finish(conf):
     # zero-epoch tasks and single-row batches leave adapters at their zero
     # init, so every merge strategy meets all-zero layers here
+    quantile_q = conf.pop("quantile_q")
     argv = ["run"]
     for key, value in conf.items():
         argv += ["--set", f"{key}={json.dumps(value)}"]
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
+        patch.setattr(MergeConfig, "quantile_q", quantile_q)
         code = main(argv + ["--out-dir", tmp])
     if code == 3:
         assert err.getvalue().startswith("error: loss diverged"), err.getvalue()
@@ -636,17 +661,16 @@ def _config_objects(draw):
     spec = StreamSpec(total_classes=classes, num_tasks=draw(st.integers(1, classes)),
                       gamma=draw(_reals(0.0, 1.0, exclude_min=True)),
                       order=draw(st.sampled_from(TaskOrder)),
-                      samples_per_class=draw(st.integers(3, 10 ** 6)),
+                      samples_per_class=draw(
+                          st.integers(3, MAX_STREAM_SAMPLES // classes)),
                       seed=draw(_SEEDS))
     epochs_min = draw(st.integers(0, 100))
     train = TrainConfig(lr=draw(_reals(0.0, exclude_min=True)),
                         epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
                         epochs_max=draw(st.integers(epochs_min, 200)),
                         batch_size=draw(st.integers(1, 512)),
-                        bottleneck=draw(st.integers(1, 64)), seed=draw(_SEEDS))
-    merge_cfg = MergeConfig(quantile_q=draw(_reals(0.0, 1.0)),
-                            sharpness_kappa=draw(_reals(0.0, exclude_min=True)),
-                            info_proxy=draw(st.sampled_from(InfoProxy)))
+                        bottleneck=draw(st.integers(1, BACKBONE_DIM)), seed=draw(_SEEDS))
+    merge_cfg = MergeConfig(info_proxy=draw(st.sampled_from(InfoProxy)))
     return spec, train, merge_cfg
 
 
@@ -903,7 +927,7 @@ def test_compare_rejects_a_backbone_report_of_another_length(tmp_path, capsys):
 # --set flags whose rejected value or key is 100000 characters long
 _LONG_SETTINGS = {"int": "classes=" + "[" * 100000,
                   "int-range": "stream_seed=" + "9" * 4000,
-                  "float": "kappa=" + "[" * 100000,
+                  "float": "lr=" + "[" * 100000,
                   "enum": "order=" + "[" * 100000,
                   "strategies": "strategies=" + json.dumps([1] * 100000),
                   "missing-equals": "x" * 100000,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from onea import ConfigError, MergeConfig, StreamSpec, TrainConfig, class_ratios
+from onea import ConfigError, StreamSpec, TrainConfig, class_ratios
 from onea.errors import check_float
 
 
@@ -20,9 +20,6 @@ def _spec(**kwargs):
 _SLOTS = {
     "StreamSpec.gamma": (lambda v: _spec(gamma=v).gamma, 0.5),
     "TrainConfig.lr": (lambda v: TrainConfig(lr=v).lr, 0.5),
-    "MergeConfig.quantile_q": (lambda v: MergeConfig(quantile_q=v).quantile_q, 0.5),
-    "MergeConfig.sharpness_kappa":
-        (lambda v: MergeConfig(sharpness_kappa=v).sharpness_kappa, 0.5),
     "class_ratios.gamma": (lambda v: float(class_ratios(3, v)[-1]), 0.5),
 }
 

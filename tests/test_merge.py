@@ -1,5 +1,6 @@
 """Singular-direction merge: decomposition, alignment, gating, baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,17 +29,22 @@ def _meta(task_id=1, class_ids=(0,), sample_count=10):
 # -------------------------------------------------------------- MergeConfig
 
 @pytest.mark.parametrize("kwargs", [
-    {"quantile_q": -0.1}, {"quantile_q": 1.1},
-    {"sharpness_kappa": 0.0}, {"info_proxy": "class-count"},
+    {"info_proxy": "class-count"},
 ])
 def test_merge_config_validation(kwargs):
     with pytest.raises(ConfigError):
         MergeConfig(**kwargs)
 
 
-def test_merge_config_boundary_quantiles_allowed():
-    MergeConfig(quantile_q=0.0)
-    MergeConfig(quantile_q=1.0)
+def test_merge_config_gate_shapes_are_constants():
+    # the four gate constants keep their values, info_proxy is the one
+    # field, and neither quantile_q nor sharpness_kappa can be passed
+    assert (MergeConfig.quantile_q, MergeConfig.sharpness_kappa, MergeConfig.delta,
+            MergeConfig.rank_eps) == (0.5, 10.0, 1e-6, 1e-10)
+    assert [f.name for f in dataclasses.fields(MergeConfig)] == ["info_proxy"]
+    for name, value in (("quantile_q", 0.3), ("sharpness_kappa", 5.0)):
+        with pytest.raises(TypeError):
+            MergeConfig(**{name: value})
 
 
 # --------------------------------------------------------------- GateVector
@@ -181,10 +187,10 @@ def test_info_weights_are_convex():
 
 # -------------------------------------------------------------- gate_vector
 
-def test_gate_is_half_at_threshold_and_saturates():
+def test_gate_is_half_at_threshold_and_saturates(monkeypatch):
     # kappa=100 pushes the head to ~0 and the tail toward 1
-    cfg = MergeConfig(sharpness_kappa=100.0)
-    gate = gate_vector(np.array([10.0, 1.0, 0.1]), cfg).g
+    monkeypatch.setattr(MergeConfig, "sharpness_kappa", 100.0)
+    gate = gate_vector(np.array([10.0, 1.0, 0.1]), CFG).g
     assert gate[0] < 1e-30
     assert gate[1] == 0.5
     assert abs(gate[2] - 0.999876605424014) < 1e-6    # logistic(9) by hand
@@ -277,20 +283,21 @@ def test_logistic_matches_masked_form_bit_for_bit():
         assert _logistic(x).tobytes() == _masked_logistic(x).tobytes()
 
 
-def test_gate_vector_matches_numpy_quantile_gate_bit_for_bit():
+def test_gate_vector_matches_numpy_quantile_gate_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(22)
-    configs = [MergeConfig(quantile_q=q, sharpness_kappa=k)
-               for q in (0.0, 0.3, 0.5, 1.0) for k in (0.5, 10.0, 1e4)]
+    shapes = [(q, k) for q in (0.0, 0.3, 0.5, 1.0) for k in (0.5, 10.0, 1e4)]
     for _ in range(250):
         sigma = _draw_pool(rng)
-        for cfg in configs:
-            scores = sigma / (sigma[0] + cfg.delta)
-            eff = int(np.count_nonzero(sigma > cfg.rank_eps * sigma[0])) \
+        for q, k in shapes:
+            monkeypatch.setattr(MergeConfig, "quantile_q", q)
+            monkeypatch.setattr(MergeConfig, "sharpness_kappa", k)
+            scores = sigma / (sigma[0] + CFG.delta)
+            eff = int(np.count_nonzero(sigma > CFG.rank_eps * sigma[0])) \
                 if sigma[0] > 0.0 else 0
             pool = scores[:eff] if eff else scores
-            theta = float(np.quantile(pool, cfg.quantile_q))
-            want = _masked_logistic(cfg.sharpness_kappa * (theta - scores))
-            assert gate_vector(sigma, cfg).g.tobytes() == want.tobytes()
+            theta = float(np.quantile(pool, q))
+            want = _masked_logistic(k * (theta - scores))
+            assert gate_vector(sigma, CFG).g.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- merge_layer
@@ -357,14 +364,17 @@ def _reference_inputs(rng):
             yield base, rng.normal(size=shape), None, 0.5
 
 
-def _assert_matches_reference(base, align, w_b, w_a, gate, rank_eps, monkeypatch):
+def _assert_matches_reference(base, align, w_b, w_a, gate, rank_eps, monkeypatch,
+                              q=0.5):
     """merge_layer's closed form equals the reference's direction-by-
-    direction V-frame route within 1e-12 relative, with the constant
-    MergeConfig.rank_eps patched to rank_eps; returns the merge."""
+    direction V-frame route within 1e-12 relative, with the constants
+    MergeConfig.rank_eps and quantile_q patched to rank_eps and q; returns
+    the merge."""
     monkeypatch.setattr(MergeConfig, "rank_eps", rank_eps)
+    monkeypatch.setattr(MergeConfig, "quantile_q", q)
     got = merge_layer(base, align, w_b, w_a, CFG,
                       gate=None if gate is None else GateVector(g=gate))
-    want = reference_merge_layer(base, align, w_b, w_a, rank_eps=rank_eps,
+    want = reference_merge_layer(base, align, w_b, w_a, q=q, rank_eps=rank_eps,
                                  gate=gate)
     scale = np.linalg.norm(base) + np.linalg.norm(align)
     assert np.linalg.norm(got - want) <= 1e-12 * scale
@@ -379,6 +389,18 @@ def test_merge_layer_matches_reference(monkeypatch):
                                         gate, rank_eps, monkeypatch)
         if not w_b.any():    # rank 0: nothing of the align update passes
             assert np.array_equal(got, np.zeros_like(w_b))
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_merge_layer_matches_reference_at_the_quantile_ends(q, monkeypatch):
+    # the clipped ends of numpy's linear quantile: the gate threshold is the
+    # pool's smallest score at q = 0 and its largest at q = 1
+    rng = np.random.default_rng(24)
+    for w_b, w_a, gate, rank_eps in _reference_inputs(rng):
+        if gate is None:
+            w_align = rng.uniform(0.1, 0.9)
+            _assert_matches_reference(w_b, w_a, 1.0 - w_align, w_align, None,
+                                      rank_eps, monkeypatch, q=q)
 
 
 def test_merge_layer_matches_reference_on_a_one_a_run(monkeypatch):

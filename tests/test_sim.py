@@ -17,8 +17,8 @@ from onea import (Backbone, ConfigError, MergeConfig, MergeTrace,
                   run_strategies, select_roles, serialize, train_task)
 from onea import sim
 from onea.counters import SVD_CALLS
-from onea.sim import objective, objective_grads
-from onea.stream import SyntheticDataset, Task
+from onea.sim import BACKBONE_DIM, objective, objective_grads
+from onea.stream import MAX_STREAM_SAMPLES, SyntheticDataset, Task
 
 from conftest import (draw_gradcheck_batch, fd_gradient, make_module,
                       modules_equal)
@@ -148,6 +148,22 @@ def test_epoch_schedule_guards():
         epoch_schedule(0, 20, 5, cfg)
     with pytest.raises(ConfigError):
         epoch_schedule(1, 0, 5, cfg)
+
+
+def test_epoch_schedule_bounds_total_classes():
+    # a stream holds at most MAX_STREAM_SAMPLES classes, so t0 is a float
+    cfg = TrainConfig()
+    assert epoch_schedule(1, MAX_STREAM_SAMPLES, 1, cfg) == cfg.epochs_min
+    for total_classes in (MAX_STREAM_SAMPLES + 1, 10 ** 400):
+        with pytest.raises(ConfigError, match="total_classes"):
+            epoch_schedule(1, total_classes, 1, cfg)
+
+
+def test_train_config_bottleneck_is_no_wider_than_the_backbone():
+    assert TrainConfig(bottleneck=BACKBONE_DIM).bottleneck == BACKBONE_DIM
+    for width in (BACKBONE_DIM + 1, 10 ** 10):
+        with pytest.raises(ConfigError, match=rf"^bottleneck must lie in \[1, {BACKBONE_DIM}\]"):
+            TrainConfig(bottleneck=width)
 
 
 # --------------------------------------------------------- contrastive loss

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from onea import (ConfigError, Strategy, StreamSpec, TaskOrder, TrainConfig,
                   allocate_tasks, build_stream, class_ratios, run_sequence)
-from onea.stream import FEATURE_DIM, TRAIN_FRACTION
+from onea.stream import FEATURE_DIM, MAX_STREAM_SAMPLES, TRAIN_FRACTION
 
 
 def _spec(**kwargs):
@@ -40,6 +40,20 @@ def test_class_ratios_guards():
         class_ratios(10, 0.0)
     with pytest.raises(ConfigError):
         class_ratios(10, 1.5)
+    for classes in (MAX_STREAM_SAMPLES + 1, 10 ** 400):
+        with pytest.raises(ConfigError, match="total_classes"):
+            class_ratios(classes, 0.5)
+
+
+def test_stream_spec_bounds_the_sample_count():
+    # classes times samples_per_class, the rows of the sample array, is at
+    # most MAX_STREAM_SAMPLES; only the spec is built here, no stream
+    StreamSpec(MAX_STREAM_SAMPLES // 4, 1, samples_per_class=4)
+    StreamSpec(2, 1, samples_per_class=MAX_STREAM_SAMPLES // 2)
+    for classes, samples in ((MAX_STREAM_SAMPLES // 4 + 1, 4), (2, MAX_STREAM_SAMPLES),
+                             (10 ** 400, 50), (10 ** 8, 3)):
+        with pytest.raises(ConfigError, match=r"^total_classes \* samples_per_class"):
+            StreamSpec(classes, 1, samples_per_class=samples)
 
 
 # ----------------------------------------------------------- allocate_tasks

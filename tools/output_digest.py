@@ -12,17 +12,18 @@ columns; zero-updates trains no epoch, so every w_up stays zero and both
 frobenius proxies are 0;
 bottleneck3 is the one config whose adapters are not 8 wide), then
 `onea merge` for the three fold strategies on adapters from those runs,
-for one-a at --quantile-q 0 and 1, where the gate threshold is the pool's
-smallest and largest score, and for the three fold strategies on two
-zero-updates adapters, whose zero w_up layers merge at effective rank 0
-under one-a and could surface signed zeros under any, and for the three
-fold strategies on two bottleneck3 adapters, so a .onea header width taken
-from anything but the layers changes the bytes. It then reads the
+under default flags and under --proxy frobenius --n-prev 2, and for the
+three fold strategies on two zero-updates adapters, whose zero w_up
+layers merge at effective rank 0 under one-a and could surface signed
+zeros under any, and for the three fold strategies on two bottleneck3
+adapters, so a .onea header width taken from anything but the layers
+changes the bytes. It then reads the
 reports back: `onea eval` on every report of every run, and `onea compare`
 over each run's reports with the merge_ms column (wall time) masked; then
 `onea gen-stream` writes three manifests, one of them balanced. Last come
-invocations that fail: `onea run` with a wrong type, a range error or an
-unknown key, and `onea merge` on a missing and on a truncated .onea file.
+invocations that fail: `onea run` with a wrong type, a range error, a
+stream or a bottleneck past its bound or an unknown key, and `onea merge`
+on a missing and on a truncated .onea file.
 Each case hashes its exit code, its stdout and stderr (output directory
 masked), each report's canonical_bytes() and every .onea file it wrote; a
 failing case hashes whether its output exists instead. Prints one
@@ -65,16 +66,12 @@ CONFIGS = {
     "one-task": {"classes": 4, "tasks": 1},
 }
 SEEDS = (0, 3)
-MERGE_FLAGS = ([], ["--quantile-q", "0.3", "--kappa", "5", "--proxy", "frobenius",
-                    "--n-prev", "2"])
+MERGE_FLAGS = ([], ["--proxy", "frobenius", "--n-prev", "2"])
 # (source run, strategy, case tag, first of two consecutive per-task
-# adapters, flags): each fold strategy under each flag set, then one-a at
-# the clipped ends of numpy's linear quantile, then each fold strategy on
-# zero updates and on bottleneck-3 adapters
+# adapters, flags): each fold strategy under each flag set, then each fold
+# strategy on zero updates and on bottleneck-3 adapters
 MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                 for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
-               + [("default", "one-a", f"q{q}", 1, ["--quantile-q", q])
-                  for q in ("0", "1")]
                + [("zero-updates", strategy, "zero", 1, ["--proxy", "frobenius"])
                   for strategy in STRATEGIES[:3]]
                + [("bottleneck3", strategy, "b3", 1, []) for strategy in STRATEGIES[:3]])
@@ -87,9 +84,10 @@ GEN_STREAM_CASES = {
 }
 
 # --set flags that `onea run` rejects with exit 2 before it creates out_dir
-FAILING_RUN_SETTINGS = {"classes-float": "classes=2.5", "kappa-zero": "kappa=0",
-                        "kappa-string": 'kappa="x"', "order-int": "order=5",
-                        "unknown-key": "no_such_key=1"}
+FAILING_RUN_SETTINGS = {"classes-float": "classes=2.5", "lr-zero": "lr=0",
+                        "gamma-string": 'gamma="x"', "order-int": "order=5",
+                        "unknown-key": "no_such_key=1", "bottleneck-33": "bottleneck=33",
+                        "classes-1e8": "classes=100000000"}
 
 
 def call_cli(main, argv: list[str], mask: Path) -> list[bytes]:
