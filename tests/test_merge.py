@@ -29,7 +29,8 @@ def _meta(task_id=1, class_ids=(0,), sample_count=10):
 # -------------------------------------------------------------- MergeConfig
 
 @pytest.mark.parametrize("kwargs", [
-    {"info_proxy": "class-count"},
+    {"info_proxy": None}, {"info_proxy": 0},
+    {"info_proxy": "frobenius"}, {"info_proxy": "class-count"},
 ])
 def test_merge_config_validation(kwargs):
     with pytest.raises(ConfigError):
