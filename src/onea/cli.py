@@ -2,7 +2,7 @@
 
 Subcommands: gen-stream (write a stream manifest), run (train and merge
 over a stream, one report per strategy), merge (fuse two serialized
-adapters), eval (metrics for one report), compare (table across reports).
+adapters), compare (the metrics table of one report or many).
 
 Configuration is one flat key-value JSON document; --set KEY=VALUE flags
 override file values, unknown keys are rejected, and the effective config
@@ -188,15 +188,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def cmd_eval(args) -> int:
-    report = RunReport.from_json(_read_text(args.report, "report"))
-    row = _metrics_row(report)
-    keys = ["last_accuracy", "avg_accuracy", "weighted_avg_accuracy", "forgetting"]
-    print(json.dumps({k: row[k] for k in keys}, sort_keys=True, indent=2))
-    print(",".join(_csv_cell(row[k]) for k in keys))
-    return 0
-
-
 def cmd_compare(args) -> int:
     reports = [RunReport.from_json(_read_text(p, "report")) for p in args.reports]
     first = reports[0]
@@ -229,12 +220,10 @@ def cmd_compare(args) -> int:
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(row[k]) for k in header) for row in rows]
     payload = {"schema_version": 1, "stream_seed": first.stream_seed, "rows": rows}
-    # files are written first, so an unwritable one prints nothing; with
-    # -, --out-json prints after the table and --out-csv is the table
+    # a file is written first, so an unwritable one prints nothing; with
+    # -, --out-json prints after the table
     if args.out_json not in (None, "-"):
         _dump_json(payload, args.out_json)
-    if args.out_csv not in (None, "-"):
-        Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     if args.out_json == "-":
         _dump_json(payload, "-")
@@ -293,13 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tasks already absorbed (average strategy)")
     merge.set_defaults(func=cmd_merge)
 
-    ev = sub.add_parser("eval", help="print metrics for one report")
-    ev.add_argument("report")
-    ev.set_defaults(func=cmd_eval)
-
-    cmp_ = sub.add_parser("compare", help="tabulate metrics across reports")
+    cmp_ = sub.add_parser("compare", help="tabulate metrics of one report or many")
     cmp_.add_argument("reports", nargs="+")
-    cmp_.add_argument("--out-csv", default=None)
     cmp_.add_argument("--out-json", default=None)
     cmp_.set_defaults(func=cmd_compare)
     return parser

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and check_int and
 check_float, the one rule each for integer and float fields and arguments.
-Their messages quote a rejected value cut by clip, so an error stays one
-short line whatever the value.
+Their messages quote a rejected value cut by clip (an integer by
+clip_int), so an error stays one short line whatever the value.
 
 The CLI maps these onto exit codes: ConfigError and ShapeError are user
 errors (exit 2), NumericError and its subclasses are numeric failures
@@ -46,6 +46,15 @@ def clip(text: str) -> str:
     return text if len(text) <= 40 else text[:19] + "..." + text[-18:]
 
 
+def clip_int(value: int) -> str:
+    """value cut by clip, or past Python's limit on the digits of an
+    integer's text, its size in bits."""
+    try:
+        return clip(str(value))
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def check_int(name: str, value, low: int | None = None,
               high: int | None = None) -> int:
     """The package's one integer rule: value must be a Python or numpy
@@ -56,9 +65,9 @@ def check_int(name: str, value, low: int | None = None,
             raise ConfigError(f"{name} must be an integer, got {clip(repr(value))}")
         value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
-        bounds = (f"be >= {low}" if high is None
-                  else f"lie in [{low}, {clip(str(high))}]")
-        raise ConfigError(f"{name} must {bounds}, got {clip(str(value))}")
+        bounds = (f"be >= {clip_int(low)}" if high is None
+                  else f"lie in [{clip_int(low)}, {clip_int(high)}]")
+        raise ConfigError(f"{name} must {bounds}, got {clip_int(value)}")
     return value
 
 

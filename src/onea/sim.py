@@ -79,12 +79,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low, high in (("epochs_base", 1, None), ("epochs_min", 0, None),
+        # the epoch budget scales epochs_base as a float, exact up to 2**53
+        for name, low, high in (("epochs_base", 1, 2**53), ("epochs_min", 0, None),
                                 ("epochs_max", self.epochs_min, None),
                                 ("batch_size", 1, None), ("bottleneck", 1, BACKBONE_DIM)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
-        check_float("epochs_base", self.epochs_base)  # the epoch budget scales it as a float
         object.__setattr__(self, "lr", check_float("lr", self.lr))
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
@@ -97,7 +97,7 @@ def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
     Arranged as lambda_max + (lambda_min - lambda_max) * (1 - exp(...)) so
     class_count == 1 returns lambda_max exactly.
     """
-    class_count = check_int("class_count", class_count, 1)
+    class_count = check_int("class_count", class_count, 1, MAX_STREAM_SAMPLES)
     decay = 1.0 - math.exp(-cfg.k_decay * (class_count - 1))
     return cfg.lambda_max + (cfg.lambda_min - cfg.lambda_max) * decay
 
@@ -105,15 +105,10 @@ def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
 def epoch_schedule(class_count: int, total_classes: int, num_tasks: int,
                    cfg: TrainConfig) -> int:
     """Epoch budget scaled by task size relative to the balanced size C/T."""
-    t0 = (check_int("total_classes", total_classes, 1, MAX_STREAM_SAMPLES)
-          / check_int("num_tasks", num_tasks, 1))
-    ratio = check_int("class_count", class_count, 1) / t0
-    # a budget at or past epochs_max + 1 clamps to epochs_max; deciding that
-    # in log space keeps a large epochs_base from overflowing a float
-    if math.log(cfg.epochs_base) + cfg.beta * math.log(ratio) \
-            >= math.log(cfg.epochs_max + 1):
-        return cfg.epochs_max
-    raw = cfg.epochs_base * ratio ** cfg.beta
+    total_classes = check_int("total_classes", total_classes, 1, MAX_STREAM_SAMPLES)
+    t0 = total_classes / check_int("num_tasks", num_tasks, 1, total_classes)
+    ratio = check_int("class_count", class_count, 1, total_classes) / t0
+    raw = cfg.epochs_base * ratio ** cfg.beta  # ratio <= 2**22, so raw <= 2**64
     return min(max(int(round(raw)), cfg.epochs_min), cfg.epochs_max)
 
 

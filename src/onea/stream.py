@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adapter import TaskMeta, freeze
-from .errors import ConfigError, check_float, check_int, clip
+from .errors import ConfigError, check_float, check_int, clip_int
 
 FEATURE_DIM = 32       # input dimension of every synthetic sample
 MEAN_RADIUS = 4.0      # class means are drawn uniformly on this sphere
@@ -75,7 +75,7 @@ class StreamSpec:
         object.__setattr__(self, "samples_per_class", n)
         if c * n > MAX_STREAM_SAMPLES:
             raise ConfigError(f"total_classes * samples_per_class must be <= "
-                              f"{MAX_STREAM_SAMPLES}, got {clip(str(c))} * {clip(str(n))}")
+                              f"{MAX_STREAM_SAMPLES}, got {clip_int(c)} * {clip_int(n)}")
         object.__setattr__(self, "seed", check_int("stream seed", self.seed, 0, MAX_SEED))
         object.__setattr__(self, "gamma", check_float("gamma", self.gamma))
         if not 0.0 < self.gamma <= 1.0:

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onea import (InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
-                  TaskOrder, TrainConfig, load_module, save_module, step_damage)
+                  TaskOrder, TrainConfig, average_accuracy, forgetting, last_accuracy,
+                  load_module, save_module, step_damage, weighted_average_accuracy)
 from onea.cli import RUN_DEFAULTS, _build_objects, main
 from onea.counters import SVD_CALLS
 from onea.sim import BACKBONE_DIM, run_config
@@ -345,22 +346,30 @@ def test_run_set_reads_an_undecodable_value_as_a_bareword(raw, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_run_largest_epochs_base_clamps_the_epoch_budget(tmp_path):
-    # the largest epochs_base that converts to a float overflows it once
-    # scaled by a task-size ratio past 1; those tasks clamp to epochs_max
+def test_run_largest_epochs_base_clamps_the_epoch_budget(tmp_path, capsys):
+    # epochs_base is at most 2**53, the largest integer exact in the float
+    # the budget is computed in; every task's budget clamps to epochs_max
     out = tmp_path / "runs"
-    assert main(["run", *RUN_ARGS, "--set", f"epochs_base={2 ** 1024 - 2 ** 970 - 1}",
+    assert main(["run", *RUN_ARGS, "--set", f"epochs_base={2 ** 53}",
                  "--set", "epochs_max=2", "--set", 'strategies=["per-task"]',
                  "--out-dir", str(out)]) == 0
     assert (out / "report-per-task.json").exists()
+    past = tmp_path / "past"
+    assert main(["run", *RUN_ARGS, "--set", f"epochs_base={2 ** 53 + 1}",
+                 "--out-dir", str(past)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: epochs_base must lie in [1, {2 ** 53}], got {2 ** 53 + 1}\n"
+    assert not past.exists()
 
 
 @pytest.mark.parametrize("setting", ["epochs_base", "lr"])
 def test_run_rejects_integers_past_the_largest_float(setting, tmp_path, capsys):
     out = tmp_path / "runs"
-    assert main(["run", "--set", f"epochs_base=1{'0' * 300}",
-                 "--set", f"{setting}=1{'0' * 400}", "--out-dir", str(out)]) == 2
-    assert "past the largest float" in capsys.readouterr().err
+    assert main(["run", "--set", f"{setting}=1{'0' * 400}", "--out-dir", str(out)]) == 2
+    expected = ("epochs_base must lie in [1, 9007199254740992], got 1000000000000000000..."
+                "000000000000000000" if setting == "epochs_base"
+                else "lr must be finite, got an integer past the largest float")
+    assert capsys.readouterr().err == f"error: {expected}\n"
     assert not out.exists()
 
 
@@ -383,13 +392,12 @@ def test_run_divergence_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: loss diverged") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("command", ["run", "eval", "compare"])
+@pytest.mark.parametrize("command", ["run", "compare"])
 def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
     out = tmp_path / "runs"
     argv = {"run": ["run", "--config", str(bad), "--out-dir", str(out)],
-            "eval": ["eval", str(bad)],
             "compare": ["compare", str(bad), str(bad)]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -504,15 +512,15 @@ def test_merge_rejects_the_gate_constants_as_flags(flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("run", ["--bogus"]), ("merge", ["--delta", "1e-4"]), ("eval", ["extra", "--x"]),
-    ("onea", ["--bogus"])])
+    ("run", ["--bogus"]), ("merge", ["--delta", "1e-4"]),
+    ("compare", ["--out-csv", "t.csv"]), ("onea", ["--bogus"])])
 def test_unknown_arguments_name_their_subcommand(command, extra, tmp_path,
                                                  monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # "onea" is the top level: a flag given before the subcommand is its own
     argv = {"run": ["run", *extra],
             "merge": ["merge", "a.onea", "b.onea", "--out", "m.onea", *extra],
-            "eval": ["eval", "r.json", *extra], "onea": [*extra, "run"]}[command]
+            "compare": ["compare", "r.json", *extra], "onea": [*extra, "run"]}[command]
     prog = "onea" if command == "onea" else f"onea {command}"
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -682,7 +690,7 @@ def test_the_key_table_round_trips(objects):
     assert _build_objects({**conf, "strategies": ["one-a"]})[:3] == objects
 
 
-# --------------------------------------------------------------- eval
+# ------------------------------------------------------------------ compare
 
 def _run_one(tmp_path):
     out = tmp_path / "runs"
@@ -691,65 +699,67 @@ def _run_one(tmp_path):
     return out
 
 
-def test_eval_prints_metrics(tmp_path, capsys):
+def test_compare_of_one_report_prints_its_metrics(tmp_path, capsys):
     out = _run_one(tmp_path)
+    report = RunReport.from_json((out / "report-one-a.json").read_text())
+    expected = {"last_accuracy": last_accuracy(report),
+                "avg_accuracy": average_accuracy(report),
+                "weighted_avg_accuracy": weighted_average_accuracy(report),
+                "forgetting": forgetting(report)}
     capsys.readouterr()
-    assert main(["eval", str(out / "report-one-a.json")]) == 0
-    stdout = capsys.readouterr().out
-    payload = json.loads(stdout[:stdout.rindex("\n", 0, -1)])
-    assert set(payload) == {"last_accuracy", "avg_accuracy",
-                            "weighted_avg_accuracy", "forgetting"}
-    csv_line = stdout.strip().splitlines()[-1]
-    assert len(csv_line.split(",")) == 4
+    assert main(["compare", str(out / "report-one-a.json"), "--out-json", "-"]) == 0
+    header, row, dumped = capsys.readouterr().out.split("\n", 2)
+    assert header.split(",")[1:5] == list(expected)
+    assert row.split(",")[:5] == ["one-a", *(f"{v:.6f}" for v in expected.values())]
+    (values,) = json.loads(dumped)["rows"]
+    assert {k: values[k] for k in expected} == expected
 
 
 def test_one_task_reports_leave_forgetting_empty(tmp_path, capsys):
-    # forgetting needs a second task: eval prints null and an empty CSV
-    # cell, and compare leaves its column empty
+    # forgetting needs a second task: compare leaves its column empty and
+    # --out-json - gives null
     out = tmp_path / "runs"
     assert main(["run", "--set", "classes=4", "--set", "tasks=1", "--set",
                  'strategies=["one-a", "per-task"]', "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    assert main(["eval", str(out / "report-one-a.json")]) == 0
-    printed = capsys.readouterr().out
-    assert '"forgetting": null' in printed
-    assert printed.splitlines()[-1] == "0.900000,0.900000,0.900000,"
     assert main(["compare", str(out / "report-one-a.json"),
-                 str(out / "report-per-task.json")]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+                 str(out / "report-per-task.json"), "--out-json", "-"]) == 0
+    header, *rows, dumped = capsys.readouterr().out.split("\n", 3)
+    assert '"forgetting": null' in dumped
+    assert [row["forgetting"] for row in json.loads(dumped)["rows"]] == [None, None]
     column = header.split(",").index("forgetting")
     assert [row.split(",")[column] for row in rows] == ["", ""]
+    assert rows[0].split(",")[1:5] == ["0.900000", "0.900000", "0.900000", ""]
 
 
-def test_eval_error_exit_codes(tmp_path, capsys):
+def test_compare_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
-    assert main(["eval", str(bad)]) == 2
-    assert main(["eval", str(tmp_path / "absent.json")]) == 4
+    assert main(["compare", str(bad)]) == 2
+    assert main(["compare", str(tmp_path / "absent.json")]) == 4
 
 
-@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
-def test_eval_rejects_an_undecodable_report(text, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    assert main(["eval", str(bad)]) == 2
+def test_eval_is_not_a_subcommand(tmp_path, capsys):
+    # compare reads one report or many; there is no second report reader
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(_report_payload()))
+    assert main(["eval", str(report)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: report is not valid JSON")
-    assert captured.err.count("\n") == 1
+    assert "invalid choice: 'eval'" in captured.err
 
 
 @pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
 def test_compare_rejects_an_undecodable_report(text, tmp_path, capsys):
-    good, bad, csv = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "t.csv"
+    good, bad, table = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "t.json"
     good.write_text(json.dumps(_report_payload()))
     bad.write_text(text)
-    assert main(["compare", str(good), str(bad), "--out-csv", str(csv)]) == 2
+    assert main(["compare", str(good), str(bad), "--out-json", str(table)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: report is not valid JSON")
     assert captured.err.count("\n") == 1
-    assert not csv.exists()
+    assert not table.exists()
 
 
 _MALFORMED = {
@@ -789,38 +799,30 @@ def _report_payload(**fields):
     return payload
 
 
-@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("command", ["compare"])
 @pytest.mark.parametrize("fields", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_report_exit_2(command, fields, tmp_path, capsys):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_report_payload()))
     bad.write_text(json.dumps(_report_payload(**fields)))
-    assert main(["eval", str(good)]) == 0
-    assert main(["compare", str(good), str(good)]) == 0
+    assert main([command, str(good), str(good)]) == 0
     capsys.readouterr()
-    argv = ["eval", str(bad)] if command == "eval" else \
-        ["compare", str(good), str(bad)]
-    assert main(argv) == 2
+    assert main([command, str(good), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: report")
     assert next(iter(fields)) in err
 
 
-# ------------------------------------------------------------------ compare
-
 def test_compare_table_and_outputs(tmp_path, capsys):
     out = _run_one(tmp_path)
     capsys.readouterr()
-    csv_path = tmp_path / "table.csv"
     json_path = tmp_path / "table.json"
     assert main(["compare", str(out / "report-one-a.json"),
-                 str(out / "report-average.json"),
-                 "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 0
+                 str(out / "report-average.json"), "--out-json", str(json_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split(",")[:2] == ["strategy", "last_accuracy"]
     assert len(lines) == 3
     assert lines[1].startswith("one-a,")
-    assert csv_path.read_text().strip() == "\n".join(lines)
     payload = json.loads(json_path.read_text())
     assert payload["schema_version"] == 1
     assert len(payload["rows"]) == 2
@@ -831,19 +833,7 @@ def test_compare_table_and_outputs(tmp_path, capsys):
     assert json.loads("{" + dumped) == payload
 
 
-def test_compare_out_csv_dash_is_stdout(tmp_path, capsys, monkeypatch):
-    out = _run_one(tmp_path)
-    reports = [str(out / "report-one-a.json"), str(out / "report-average.json")]
-    monkeypatch.chdir(tmp_path)
-    capsys.readouterr()
-    assert main(["compare", *reports]) == 0
-    plain = capsys.readouterr().out
-    assert main(["compare", *reports, "--out-csv", "-"]) == 0
-    assert capsys.readouterr().out == plain
-    assert not (tmp_path / "-").exists()
-
-
-@pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+@pytest.mark.parametrize("flag", ["--out-json"])
 def test_compare_unwritable_output_prints_nothing(flag, tmp_path, capsys):
     out = _run_one(tmp_path)
     capsys.readouterr()
@@ -985,7 +975,7 @@ def test_readme_config_table_matches_run_defaults():
 def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     steps = _readme_walkthrough()
-    assert [argv[0] for argv, _ in steps] == ["gen-stream", "run", "eval",
+    assert [argv[0] for argv, _ in steps] == ["gen-stream", "run", "compare",
                                               "compare", "merge"]
     for argv, shown in steps:
         assert main(argv) == 0, argv

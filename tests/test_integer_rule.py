@@ -52,7 +52,7 @@ _SLOTS = {
         (lambda v: next(iter(_meta(class_ids=frozenset({v})).class_ids)), 3),
     "lambda_schedule.class_count": (lambda v: lambda_schedule(v, _CFG), 3),
     "epoch_schedule.class_count": (lambda v: epoch_schedule(v, 20, 5, _CFG), 3),
-    "epoch_schedule.total_classes": (lambda v: epoch_schedule(4, v, 5, _CFG), 3),
+    "epoch_schedule.total_classes": (lambda v: epoch_schedule(1, v, 1, _CFG), 3),
     "epoch_schedule.num_tasks": (lambda v: epoch_schedule(4, 20, v, _CFG), 3),
     "train_task.epochs":
         (lambda v: train_task(_TASK, _BACKBONE, _CFG, epochs=v)[0].layers[1].tolist(), 3),
@@ -94,3 +94,23 @@ def test_check_int_bounds_and_messages():
     assert str(caught.value) == (f"n must lie in [1, {bound[:19]}...{bound[-18:]}], "
                                  f"got {value[:19]}...{value[-18:]}")
     assert bound[-18:] != value[-18:]
+
+
+def test_integers_past_the_digit_limit_are_quoted_by_bit_length():
+    # str() of an integer past Python's 4300-digit limit raises ValueError,
+    # so the messages give such an integer's size in bits
+    huge = 10 ** 5000
+    calls = {
+        r"total_classes \* samples_per_class must be <= 4194304, "
+        r"got an integer of 16610 bits \* 50":
+            lambda: StreamSpec(total_classes=huge, num_tasks=1),
+        r"stream seed must lie in \[0, 18446744073709551615\], got an integer of 16610 bits":
+            lambda: StreamSpec(6, 1, seed=huge),
+        r"epochs_max must be >= an integer of 16610 bits, got 60":
+            lambda: TrainConfig(epochs_min=huge),
+        r"n must lie in \[an integer of 16610 bits, an integer of 16611 bits\], got 0":
+            lambda: check_int("n", 0, huge, 2 * huge),
+    }
+    for message, call in calls.items():
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call()

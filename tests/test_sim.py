@@ -112,34 +112,50 @@ def test_epoch_schedule_reference_point_and_growth():
 def test_epoch_schedule_clamps(monkeypatch):
     cfg = TrainConfig()
     assert epoch_schedule(1, 1000, 1, cfg) == cfg.epochs_min
-    assert epoch_schedule(64, 4, 4, cfg) == cfg.epochs_max
+    assert epoch_schedule(100, 100, 20, cfg) == cfg.epochs_max == 60
     monkeypatch.setattr(TrainConfig, "beta", 0.0)
     assert epoch_schedule(1, 1000, 1, cfg) == cfg.epochs_base
 
 
 @pytest.mark.parametrize("epochs_base", [
-    1, 15, 60, 61, 10 ** 300,
-    # the largest integer that converts to a finite float
-    pytest.param(2 ** 1024 - 2 ** 970 - 1, id="largest-float")])
+    1, 15, 60, 61,
+    # the largest epochs_base, where the budget is past epochs_max at any ratio
+    pytest.param(2 ** 53, id="2**53")])
 def test_epoch_schedule_large_beta_clamps_without_overflow(epochs_base):
-    # wherever the plain formula fits in a float the budget is that formula,
-    # clamped; where it overflows (a large epochs_base times a ratio past 1)
-    # the budget is epochs_max
+    # the budget is the plain formula, clamped, whatever the task size
     cfg = TrainConfig(epochs_base=epochs_base)
-    for class_count in (1, 2, 5, 10, 11, 52, 99):
-        got = epoch_schedule(class_count, 100, 10, cfg)
-        try:
-            raw = int(round(cfg.epochs_base * (class_count / 10.0) ** cfg.beta))
-        except OverflowError:
-            assert got == cfg.epochs_max
-            continue
-        assert got == min(max(raw, cfg.epochs_min), cfg.epochs_max)
+    for class_count in (1, 2, 5, 10, 11, 52, 99, 100):
+        raw = int(round(cfg.epochs_base * (class_count / 10.0) ** cfg.beta))
+        assert epoch_schedule(class_count, 100, 10, cfg) == \
+            min(max(raw, cfg.epochs_min), cfg.epochs_max)
 
 
 def test_epochs_base_past_the_largest_float_is_rejected():
     # the epoch budget scales epochs_base as a float
     with pytest.raises(ConfigError, match="epochs_base"):
         TrainConfig(epochs_base=2 ** 1024 - 2 ** 970)
+
+
+def test_schedules_bound_their_arguments():
+    # each call fails with ConfigError before any float arithmetic; the
+    # largest budget, 2**53 times the square root of a ratio of 2**22, is 2**64
+    cfg = TrainConfig()
+    calls = {"class_count": [lambda: epoch_schedule(10 ** 400, 20, 5, cfg),
+                             lambda: epoch_schedule(21, 20, 5, cfg),
+                             lambda: lambda_schedule(10 ** 400, cfg),
+                             lambda: lambda_schedule(MAX_STREAM_SAMPLES + 1, cfg)],
+             "num_tasks": [lambda: epoch_schedule(1, 20, 10 ** 400, cfg),
+                           lambda: epoch_schedule(1, 20, 21, cfg)],
+             "epochs_base": [lambda: TrainConfig(epochs_base=2 ** 53 + 1)]}
+    for name, failing in calls.items():
+        for call in failing:
+            with pytest.raises(ConfigError, match=f"^{name} must lie in"):
+                call()
+    assert epoch_schedule(20, 20, 20, cfg) == cfg.epochs_max
+    assert lambda_schedule(MAX_STREAM_SAMPLES, cfg) == pytest.approx(cfg.lambda_min)
+    top = TrainConfig(epochs_base=2 ** 53, epochs_max=2 ** 64)
+    assert epoch_schedule(MAX_STREAM_SAMPLES, MAX_STREAM_SAMPLES, MAX_STREAM_SAMPLES,
+                          top) == 2 ** 64
 
 
 def test_epoch_schedule_guards():
