@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .adapter import load_module, save_module
-from .errors import ConfigError, FormatError, NumericError, OneaError, clip
+from .errors import ConfigError, FormatError, NumericError, OneaError, clip, clip_repr
 from .merge import InfoProxy, MergeConfig
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       step_damage, weighted_average_accuracy)
@@ -79,7 +79,7 @@ def _enum_value(enum_cls, raw, key: str):
     except ValueError:
         choices = ", ".join(e.value for e in enum_cls)
         raise ConfigError(f"config key '{key}' must be one of: {choices}; "
-                          f"got '{clip(str(raw))}'") from None
+                          f"got {clip_repr(raw)}") from None
 
 
 def _config_object(cls, conf: dict):
@@ -99,7 +99,7 @@ def _build_objects(conf: dict):
     names = conf["strategies"]
     if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
         raise ConfigError("config key 'strategies' must be a list of strings, "
-                          f"got {clip(repr(names))}")
+                          f"got {clip_repr(names)}")
     strategies = [_enum_value(Strategy, s, "strategies") for s in names]
     if not strategies:
         raise ConfigError("config key 'strategies' must name at least one strategy")
@@ -153,8 +153,7 @@ def cmd_merge(args) -> int:
                          merge_cfg)
     save_module(merged, args.out)  # an unwritable --out prints nothing
     if trace is None:
-        n_prev = clip(str(args.n_prev))
-        print(f"averaged {len(merged.layers)} layers with n_prev={n_prev}")
+        print(f"averaged {len(merged.layers)} layers with n_prev={clip_repr(args.n_prev)}")
     elif trace.layers[0][0] is None:  # no rank taken: one blend of both blocks
         _, w_b, w_a = trace.layers[0]
         print(f"symmetric blocks weighted w_acc={w_b:.6f}, w_new={w_a:.6f}")

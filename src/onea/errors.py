@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and check_int and
 check_float, the one rule each for integer and float fields and arguments.
-Their messages quote a rejected value cut by clip (an integer by
-clip_int), so an error stays one short line whatever the value.
+Their messages quote a rejected value by clip_repr, so an error stays one
+short line whatever the value.
 
 The CLI maps these onto exit codes: ConfigError and ShapeError are user
 errors (exit 2), NumericError and its subclasses are numeric failures
@@ -46,13 +46,14 @@ def clip(text: str) -> str:
     return text if len(text) <= 40 else text[:19] + "..." + text[-18:]
 
 
-def clip_int(value: int) -> str:
-    """value cut by clip, or past Python's limit on the digits of an
-    integer's text, its size in bits."""
+def clip_repr(value) -> str:
+    """repr(value) cut by clip; past Python's limit on an integer's digits,
+    the integer's size in bits, or the type of a value that holds one."""
     try:
-        return clip(str(value))
+        return clip(repr(value))
     except ValueError:
-        return f"an integer of {value.bit_length()} bits"
+        return (f"an integer of {value.bit_length()} bits" if isinstance(value, int)
+                else f"a {type(value).__name__} holding an integer past the digit limit")
 
 
 def check_int(name: str, value, low: int | None = None,
@@ -62,12 +63,12 @@ def check_int(name: str, value, low: int | None = None,
     returns it as a Python int."""
     if type(value) is not int:  # plain ints skip the slow numbers.Integral check
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {clip(repr(value))}")
+            raise ConfigError(f"{name} must be an integer, got {clip_repr(value)}")
         value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
-        bounds = (f"be >= {clip_int(low)}" if high is None
-                  else f"lie in [{clip_int(low)}, {clip_int(high)}]")
-        raise ConfigError(f"{name} must {bounds}, got {clip_int(value)}")
+        bounds = (f"be >= {clip_repr(low)}" if high is None
+                  else f"lie in [{clip_repr(low)}, {clip_repr(high)}]")
+        raise ConfigError(f"{name} must {bounds}, got {clip_repr(value)}")
     return value
 
 
@@ -77,7 +78,7 @@ def check_float(name: str, value) -> float:
     Python float. Range checks stay with each field."""
     if type(value) is not float:  # plain floats skip the slow numbers.Real check
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{name} must be a number, got {clip(repr(value))}")
+            raise ConfigError(f"{name} must be a number, got {clip_repr(value)}")
         try:
             value = float(value)
         except OverflowError:

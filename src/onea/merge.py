@@ -20,7 +20,7 @@ import numpy as np
 from .adapter import AdapterModule, TaskMeta, as_matrix, freeze, mergeable
 from .counters import SVD_CALLS
 from .errors import (ConfigError, NumericError, ShapeError, check_float,
-                     check_int)
+                     check_int, clip_repr)
 
 
 class InfoProxy(enum.Enum):
@@ -57,7 +57,8 @@ class MergeConfig:
 
     def __post_init__(self):
         if not isinstance(self.info_proxy, InfoProxy):
-            raise ConfigError(f"info_proxy must be an InfoProxy, got {self.info_proxy!r}")
+            raise ConfigError("info_proxy must be an InfoProxy, "
+                              f"got {clip_repr(self.info_proxy)}")
 
 
 @dataclass(frozen=True)

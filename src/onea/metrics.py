@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_int, clip
+from .errors import ConfigError, check_int, clip_repr
 
 SCHEMA_VERSION = 1
 
@@ -50,10 +50,10 @@ class RunReport:
         if check_int("report field 'schema_version'", self.schema_version) \
                 != SCHEMA_VERSION:
             raise ConfigError(f"report field 'schema_version' must be {SCHEMA_VERSION}, "
-                              f"got {self.schema_version}")
+                              f"got {clip_repr(self.schema_version)}")
         if self.strategy not in (names := [s.value for s in Strategy]):
             raise ConfigError(f"report field 'strategy' must be one of: {', '.join(names)}; "
-                              f"got {clip(repr(self.strategy))}")
+                              f"got {clip_repr(self.strategy)}")
         for name in ("stream_seed", "train_seed", "svd_calls"):
             check_int(f"report field '{name}'", getattr(self, name), 0)
         steps = self.step_acc

@@ -20,7 +20,7 @@ import numpy as np
 from .adapter import AdapterModule, adapter_forward, as_matrix, freeze
 from .counters import SVD_CALLS
 from .errors import (ConfigError, NumericError, ShapeError, TrainingError,
-                     check_float, check_int)
+                     check_int, clip_repr)
 from .merge import (MergeConfig, MergeTrace, _merge_traced, info_weights,
                     merge_average, merge_symmetric)
 from .metrics import RunReport, Strategy
@@ -28,6 +28,7 @@ from .stream import (MAX_SEED, MAX_STREAM_SAMPLES, StreamSpec, Task, TaskStream,
                      config_values)
 
 BACKBONE_DIM = 32
+MAX_EPOCHS = 1000  # per task; 16 times the default clamp, so every run finishes
 _INT64 = np.iinfo(np.int64)
 
 
@@ -70,24 +71,21 @@ class TrainConfig:
     lambda_max: ClassVar[float] = 0.1
     k_decay: ClassVar[float] = 2.3979  # ln(11) to 5 digits
     tau_margin: ClassVar[float] = 0.07
-    lr: float = 0.1
+    lr: ClassVar[float] = 0.1  # every SGD step subtracts lr * grad
+    batch_size: ClassVar[int] = 32  # rows per step; an epoch's last batch may be short
     epochs_base: int = 15      # epochs at the reference task size
     epochs_min: int = 2
     epochs_max: int = 60
-    batch_size: int = 32
     bottleneck: int = 8
     seed: int = 0
 
     def __post_init__(self):
         # the epoch budget scales epochs_base as a float, exact up to 2**53
-        for name, low, high in (("epochs_base", 1, 2**53), ("epochs_min", 0, None),
-                                ("epochs_max", self.epochs_min, None),
-                                ("batch_size", 1, None), ("bottleneck", 1, BACKBONE_DIM)):
+        for name, low, high in (("epochs_base", 1, 2**53), ("epochs_min", 0, MAX_EPOCHS),
+                                ("epochs_max", self.epochs_min, MAX_EPOCHS),
+                                ("bottleneck", 1, BACKBONE_DIM)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
         object.__setattr__(self, "seed", check_int("train seed", self.seed, 0, MAX_SEED))
-        object.__setattr__(self, "lr", check_float("lr", self.lr))
-        if self.lr <= 0.0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
 
 
 def lambda_schedule(class_count: int, cfg: TrainConfig) -> float:
@@ -544,7 +542,7 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
         raise ConfigError("need at least one strategy")
     for strategy in strategies:
         if not isinstance(strategy, Strategy):
-            raise ConfigError(f"unknown strategy {strategy!r}")
+            raise ConfigError(f"unknown strategy {clip_repr(strategy)}")
     merge_cfg = MergeConfig() if merge_cfg is None else merge_cfg
     spec = stream.spec
     t_total = len(stream.tasks)

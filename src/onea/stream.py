@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adapter import TaskMeta, freeze
-from .errors import ConfigError, check_float, check_int, clip_int
+from .errors import ConfigError, check_float, check_int, clip_repr
 
 FEATURE_DIM = 32       # input dimension of every synthetic sample
 MEAN_RADIUS = 4.0      # class means are drawn uniformly on this sphere
@@ -75,13 +75,13 @@ class StreamSpec:
         object.__setattr__(self, "samples_per_class", n)
         if c * n > MAX_STREAM_SAMPLES:
             raise ConfigError(f"total_classes * samples_per_class must be <= "
-                              f"{MAX_STREAM_SAMPLES}, got {clip_int(c)} * {clip_int(n)}")
+                              f"{MAX_STREAM_SAMPLES}, got {clip_repr(c)} * {clip_repr(n)}")
         object.__setattr__(self, "seed", check_int("stream seed", self.seed, 0, MAX_SEED))
         object.__setattr__(self, "gamma", check_float("gamma", self.gamma))
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
         if not isinstance(self.order, TaskOrder):
-            raise ConfigError(f"order must be a TaskOrder, got {self.order!r}")
+            raise ConfigError(f"order must be a TaskOrder, got {clip_repr(self.order)}")
         if self.samples_per_class - _train_count(self.samples_per_class) < 1:
             raise ConfigError(
                 f"samples_per_class must be >= 3 so the {TRAIN_FRACTION:.0%} "
@@ -203,8 +203,9 @@ def build_stream(spec: StreamSpec) -> TaskStream:
     means = rng.normal(size=(c, FEATURE_DIM))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
     means = MEAN_RADIUS * means / norms
-    samples = means[:, None, :] + NOISE_SCALE * rng.normal(
-        size=(c, spec.samples_per_class, FEATURE_DIM))
+    samples = rng.normal(size=(c, spec.samples_per_class, FEATURE_DIM))
+    samples *= NOISE_SCALE
+    samples += means[:, None, :]
 
     blocks = []
     start = 0
@@ -219,11 +220,10 @@ def build_stream(spec: StreamSpec) -> TaskStream:
     n_train = _train_count(spec.samples_per_class)
     tasks = []
     for position, classes in enumerate(blocks, start=1):
-        pts = samples[classes]
         data = SyntheticDataset(
-            train_x=pts[:, :n_train].reshape(-1, FEATURE_DIM),
+            train_x=samples[classes, :n_train].reshape(-1, FEATURE_DIM),
             train_y=np.repeat(classes, n_train),
-            test_x=pts[:, n_train:].reshape(-1, FEATURE_DIM),
+            test_x=samples[classes, n_train:].reshape(-1, FEATURE_DIM),
             test_y=np.repeat(classes, spec.samples_per_class - n_train))
         meta = TaskMeta(task_id=position,
                         class_ids=frozenset(classes),

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onea import (InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
+from onea import (ConfigError, InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
                   TaskOrder, TrainConfig, average_accuracy, forgetting, last_accuracy,
                   load_module, save_module, step_damage, weighted_average_accuracy)
 from onea.cli import RUN_DEFAULTS, _build_objects, main
 from onea.counters import SVD_CALLS
-from onea.sim import BACKBONE_DIM, run_config
+from onea.sim import BACKBONE_DIM, MAX_EPOCHS, run_config
 from onea.stream import MAX_STREAM_SAMPLES
 
 from conftest import make_module
@@ -203,8 +203,8 @@ def test_run_defaults_keys_values_and_types():
     want = {
         "classes": 20, "tasks": 5, "gamma": 0.01, "order": "permuted",
         "samples_per_class": 50, "stream_seed": 0,
-        "lr": 0.1, "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
-        "batch_size": 32, "bottleneck": 8, "train_seed": 0,
+        "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
+        "bottleneck": 8, "train_seed": 0,
         "info_proxy": "class-count",
         "strategies": ["one-a", "average"],
     }
@@ -218,8 +218,8 @@ def test_run_report_echoes_every_key(tmp_path):
     conf = {
         "classes": 6, "tasks": 2, "gamma": 0.2, "order": "balanced",
         "samples_per_class": 10, "stream_seed": 3,
-        "lr": 0.05, "epochs_base": 1, "epochs_min": 1, "epochs_max": 3,
-        "batch_size": 7, "bottleneck": 4, "train_seed": 5,
+        "epochs_base": 1, "epochs_min": 1, "epochs_max": 3,
+        "bottleneck": 4, "train_seed": 5,
         "info_proxy": "frobenius",
         "strategies": ["symmetric"],
     }
@@ -259,6 +259,9 @@ def test_run_report_echoes_every_key(tmp_path):
     ["run", "--set", "kappa=10"],
     # a bottleneck adapter is no wider than the backbone's 32 features
     ["run", "--set", "bottleneck=33"],
+    # the SGD step size and batch size are TrainConfig constants
+    ["run", "--set", "lr=0.1"],
+    ["run", "--set", "batch_size=32"],
 ])
 def test_run_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -282,7 +285,7 @@ def test_run_rejects_a_repeated_strategy_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["lr=NaN", "lr=Infinity", "gamma=-Infinity"])
+@pytest.mark.parametrize("setting", ["gamma=NaN", "gamma=Infinity", "gamma=-Infinity"])
 def test_run_rejects_non_finite_floats_before_training(setting, tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["run", *RUN_ARGS, "--set", setting, "--out-dir", str(out)]) == 2
@@ -362,13 +365,27 @@ def test_run_largest_epochs_base_clamps_the_epoch_budget(tmp_path, capsys):
     assert not past.exists()
 
 
-@pytest.mark.parametrize("setting", ["epochs_base", "lr"])
+def test_run_rejects_an_epoch_budget_no_run_finishes(tmp_path, capsys):
+    # epochs_min and epochs_max are at most MAX_EPOCHS, so a billion epochs
+    # per task exits 2 before the stream is built
+    out = tmp_path / "runs"
+    assert main(["run", "--set", "epochs_min=1000000000", "--set", "epochs_max=1000000000",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: epochs_min must lie in [0, {MAX_EPOCHS}], got 1000000000\n"
+    assert main(["run", "--set", f"epochs_max={MAX_EPOCHS + 1}", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: epochs_max must lie in [2, {MAX_EPOCHS}], got {MAX_EPOCHS + 1}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["epochs_base", "gamma"])
 def test_run_rejects_integers_past_the_largest_float(setting, tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["run", "--set", f"{setting}=1{'0' * 400}", "--out-dir", str(out)]) == 2
     expected = ("epochs_base must lie in [1, 9007199254740992], got 1000000000000000000..."
                 "000000000000000000" if setting == "epochs_base"
-                else "lr must be finite, got an integer past the largest float")
+                else "gamma must be finite, got an integer past the largest float")
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert not out.exists()
 
@@ -384,9 +401,10 @@ def test_run_rejects_bad_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 4
 
 
-def test_run_divergence_is_one_error_line(tmp_path, capsys):
+def test_run_divergence_is_one_error_line(tmp_path, monkeypatch, capsys):
     out = tmp_path / "runs"
-    assert main(["run", "--set", "lr=1e300", "--set", "classes=6", "--set", "tasks=2",
+    monkeypatch.setattr(TrainConfig, "lr", 1e300)
+    assert main(["run", "--set", "classes=6", "--set", "tasks=2",
                  "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: loss diverged") and err.count("\n") == 1, err
@@ -618,13 +636,14 @@ def _small_run_configs(draw):
         "classes": classes,
         "tasks": draw(st.integers(1, classes)),
         "samples_per_class": draw(st.integers(3, 6)),
-        "batch_size": draw(st.integers(1, 4)),
         "epochs_min": 0,
         "epochs_max": draw(st.integers(0, 3)),
         "bottleneck": draw(st.integers(1, 3)),
         "order": draw(st.sampled_from([o.value for o in TaskOrder])),
         "info_proxy": draw(st.sampled_from([p.value for p in InfoProxy])),
-        # not a run key: the test patches the MergeConfig constant
+        # not run keys: the test patches the TrainConfig and MergeConfig
+        # constants
+        "batch_size": draw(st.integers(1, 4)),
         "quantile_q": draw(st.sampled_from([0.0, 0.5, 1.0])),
         "strategies": draw(st.lists(st.sampled_from([s.value for s in Strategy]),
                                     min_size=1, unique=True)),
@@ -640,7 +659,7 @@ def _small_run_configs(draw):
 def test_validated_small_configs_finish(conf):
     # zero-epoch tasks and single-row batches leave adapters at their zero
     # init, so every merge strategy meets all-zero layers here
-    quantile_q = conf.pop("quantile_q")
+    batch_size, quantile_q = conf.pop("batch_size"), conf.pop("quantile_q")
     argv = ["run"]
     for key, value in conf.items():
         argv += ["--set", f"{key}={json.dumps(value)}"]
@@ -648,6 +667,7 @@ def test_validated_small_configs_finish(conf):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
+        patch.setattr(TrainConfig, "batch_size", batch_size)
         patch.setattr(MergeConfig, "quantile_q", quantile_q)
         code = main(argv + ["--out-dir", tmp])
     if code == 3:
@@ -673,10 +693,8 @@ def _config_objects(draw):
                           st.integers(3, MAX_STREAM_SAMPLES // classes)),
                       seed=draw(_SEEDS))
     epochs_min = draw(st.integers(0, 100))
-    train = TrainConfig(lr=draw(_reals(0.0, exclude_min=True)),
-                        epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
-                        epochs_max=draw(st.integers(epochs_min, 200)),
-                        batch_size=draw(st.integers(1, 512)),
+    train = TrainConfig(epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
+                        epochs_max=draw(st.integers(epochs_min, MAX_EPOCHS)),
                         bottleneck=draw(st.integers(1, BACKBONE_DIM)), seed=draw(_SEEDS))
     merge_cfg = MergeConfig(info_proxy=draw(st.sampled_from(InfoProxy)))
     return spec, train, merge_cfg
@@ -688,6 +706,18 @@ def test_the_key_table_round_trips(objects):
     conf = run_config(*objects)
     assert set(conf) == set(RUN_DEFAULTS) - {"strategies"}
     assert _build_objects({**conf, "strategies": ["one-a"]})[:3] == objects
+
+
+def test_build_objects_quotes_values_past_the_digit_limit():
+    # repr of an integer past Python's 4300-digit limit raises ValueError,
+    # so the messages give its size in bits or name what the list holds
+    with pytest.raises(ConfigError, match=r"^config key 'strategies' must be a list of "
+                                          r"strings, got a list holding an integer past "
+                                          r"the digit limit$"):
+        _build_objects({**RUN_DEFAULTS, "strategies": [10 ** 5000]})
+    with pytest.raises(ConfigError, match=r"^config key 'order' must be one of: .*; "
+                                          r"got an integer of 16610 bits$"):
+        _build_objects({**RUN_DEFAULTS, "order": 10 ** 5000})
 
 
 # ------------------------------------------------------------------ compare
@@ -917,7 +947,7 @@ def test_compare_rejects_a_backbone_report_of_another_length(tmp_path, capsys):
 # --set flags whose rejected value or key is 100000 characters long
 _LONG_SETTINGS = {"int": "classes=" + "[" * 100000,
                   "int-range": "stream_seed=" + "9" * 4000,
-                  "float": "lr=" + "[" * 100000,
+                  "float": "gamma=" + "[" * 100000,
                   "enum": "order=" + "[" * 100000,
                   "strategies": "strategies=" + json.dumps([1] * 100000),
                   "missing-equals": "x" * 100000,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from onea import ConfigError, StreamSpec, TrainConfig, class_ratios
+from onea import ConfigError, StreamSpec, class_ratios
 from onea.errors import check_float
 
 
@@ -19,7 +19,6 @@ def _spec(**kwargs):
 # stored or computed, a valid value for the slot)
 _SLOTS = {
     "StreamSpec.gamma": (lambda v: _spec(gamma=v).gamma, 0.5),
-    "TrainConfig.lr": (lambda v: TrainConfig(lr=v).lr, 0.5),
     "class_ratios.gamma": (lambda v: float(class_ratios(3, v)[-1]), 0.5),
 }
 
@@ -37,7 +36,6 @@ def test_float_slots_follow_the_rule(slot):
 
 def test_integers_are_stored_as_floats():
     assert type(_spec(gamma=1).gamma) is float
-    assert TrainConfig(lr=1).lr == 1.0 and type(TrainConfig(lr=1).lr) is float
 
 
 def test_check_float_messages():

@@ -5,10 +5,11 @@ ConfigError, and a numpy integer is accepted and stored as a Python int."""
 import numpy as np
 import pytest
 
-from onea import (Backbone, ConfigError, StreamSpec, TaskMeta, TrainConfig,
-                  build_stream, class_ratios, epoch_schedule, lambda_schedule,
-                  merge_average, train_task)
-from onea.errors import check_int
+from onea import (Backbone, ConfigError, MergeConfig, Strategy, StreamSpec, TaskMeta,
+                  TrainConfig, build_stream, class_ratios, epoch_schedule,
+                  lambda_schedule, merge_average, run_strategies, train_task)
+from onea.errors import check_float, check_int
+from onea.sim import MAX_EPOCHS
 
 from conftest import make_module
 
@@ -43,7 +44,6 @@ _SLOTS = {
     "TrainConfig.epochs_base": (lambda v: TrainConfig(epochs_base=v).epochs_base, 3),
     "TrainConfig.epochs_min": (lambda v: TrainConfig(epochs_min=v).epochs_min, 3),
     "TrainConfig.epochs_max": (lambda v: TrainConfig(epochs_max=v).epochs_max, 3),
-    "TrainConfig.batch_size": (lambda v: TrainConfig(batch_size=v).batch_size, 3),
     "TrainConfig.bottleneck": (lambda v: TrainConfig(bottleneck=v).bottleneck, 3),
     "TrainConfig.seed": (lambda v: TrainConfig(seed=v).seed, 3),
     "TaskMeta.task_id": (lambda v: _meta(task_id=v).task_id, 3),
@@ -106,10 +106,31 @@ def test_integers_past_the_digit_limit_are_quoted_by_bit_length():
             lambda: StreamSpec(total_classes=huge, num_tasks=1),
         r"stream seed must lie in \[0, 18446744073709551615\], got an integer of 16610 bits":
             lambda: StreamSpec(6, 1, seed=huge),
-        r"epochs_max must be >= an integer of 16610 bits, got 60":
+        rf"epochs_min must lie in \[0, {MAX_EPOCHS}\], got an integer of 16610 bits":
             lambda: TrainConfig(epochs_min=huge),
         r"n must lie in \[an integer of 16610 bits, an integer of 16611 bits\], got 0":
             lambda: check_int("n", 0, huge, 2 * huge),
+    }
+    for message, call in calls.items():
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call()
+
+
+def test_values_holding_integers_past_the_digit_limit_are_quoted_by_type():
+    # repr() past the limit raises ValueError too, so every rejected value
+    # is quoted by clip_repr: an integer by its bits, a value holding one by
+    # its type
+    huge = 10 ** 5000
+    held = "a list holding an integer past the digit limit"
+    calls = {
+        f"n must be an integer, got {held}": lambda: check_int("n", [huge]),
+        f"x must be a number, got {held}": lambda: check_float("x", [huge]),
+        "info_proxy must be an InfoProxy, got an integer of 16610 bits":
+            lambda: MergeConfig(info_proxy=huge),
+        "order must be a TaskOrder, got an integer of 16610 bits":
+            lambda: _spec(order=huge),
+        "unknown strategy an integer of 16610 bits":
+            lambda: run_strategies(build_stream(_spec()), [Strategy.ONE_A, huge], _CFG),
     }
     for message, call in calls.items():
         with pytest.raises(ConfigError, match=f"^{message}$"):

@@ -75,6 +75,11 @@ _MALFORMED = {
     "strategy-null": ({"strategy": None}, "'strategy' must be one of"),
     "strategy-comma": ({"strategy": "x,y"}, r"'strategy' must be .*; got 'x,y'$"),
     "strategy-list": ({"strategy": ["one-a"]}, "'strategy' must be one of"),
+    # repr and str of an integer past Python's 4300-digit limit raise ValueError
+    "strategy-past-digit-limit": ({"strategy": 10 ** 5000},
+                                  "'strategy' must be .*; got an integer of 16610 bits$"),
+    "schema-past-digit-limit": ({"schema_version": 10 ** 5000},
+                                "'schema_version' must be 1, got an integer of 16610 bits$"),
     "config-list": ({"config": []}, "'config' must be a JSON object"),
     "merge_ms-string": ({"timings": {"merge_ms": "fast"}}, "'timings.merge_ms'"),
     "step-inf": ({"step_acc": [1.0, 0.75, math.inf]}, "finite and lie in"),

@@ -17,13 +17,17 @@ from onea import (Backbone, ConfigError, MergeConfig, MergeTrace,
                   run_strategies, select_roles, serialize, train_task)
 from onea import sim
 from onea.counters import SVD_CALLS
-from onea.sim import BACKBONE_DIM, objective, objective_grads
+from onea.sim import BACKBONE_DIM, MAX_EPOCHS, objective, objective_grads
 from onea.stream import MAX_STREAM_SAMPLES, SyntheticDataset, Task
 
 from conftest import (draw_gradcheck_batch, fd_gradient, make_module,
                       modules_equal)
 
-QUICK = TrainConfig(epochs_base=2, epochs_min=1, batch_size=16, bottleneck=4)
+@pytest.fixture
+def quick(monkeypatch):
+    """A short, narrow config for the tiny streams, at 16-row batches."""
+    monkeypatch.setattr(TrainConfig, "batch_size", 16)
+    return TrainConfig(epochs_base=2, epochs_min=1, bottleneck=4)
 
 
 def _tiny_stream(**kwargs):
@@ -59,8 +63,8 @@ def test_backbone_features_are_rectified():
 # -------------------------------------------------------------- TrainConfig
 
 @pytest.mark.parametrize("kwargs", [
-    {"lr": 0.0}, {"epochs_base": 0}, {"epochs_min": -1},
-    {"epochs_min": 5, "epochs_max": 4}, {"batch_size": 0}, {"bottleneck": 0},
+    {"epochs_max": MAX_EPOCHS + 1}, {"epochs_base": 0}, {"epochs_min": -1},
+    {"epochs_min": 5, "epochs_max": 4}, {"epochs_min": MAX_EPOCHS + 1}, {"bottleneck": 0},
     {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.5}, {"seed": True},
 ])
 def test_train_config_validation(kwargs):
@@ -69,14 +73,17 @@ def test_train_config_validation(kwargs):
 
 
 def test_train_config_schedule_shapes_are_constants():
-    # the five schedule constants keep the values they had as fields, and
-    # neither they nor the removed cosine_lr can be passed
+    # the five schedule constants and the SGD step size and batch size keep
+    # the values they had as fields, and neither they nor the removed
+    # cosine_lr can be passed
     assert (TrainConfig.beta, TrainConfig.lambda_min, TrainConfig.lambda_max,
             TrainConfig.k_decay, TrainConfig.tau_margin) == (0.5, 0.01, 0.1, 2.3979, 0.07)
+    assert (TrainConfig.lr, TrainConfig.batch_size) == (0.1, 32)
     assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-        "lr", "epochs_base", "epochs_min", "epochs_max", "batch_size", "bottleneck", "seed"]
+        "epochs_base", "epochs_min", "epochs_max", "bottleneck", "seed"]
     for name, value in (("beta", 0.5), ("lambda_min", 0.01), ("lambda_max", 0.1),
-                        ("k_decay", 2.3979), ("tau_margin", 0.07), ("cosine_lr", False)):
+                        ("k_decay", 2.3979), ("tau_margin", 0.07), ("cosine_lr", False),
+                        ("lr", 0.1), ("batch_size", 32)):
         with pytest.raises(TypeError):
             TrainConfig(**{name: value})
 
@@ -138,7 +145,8 @@ def test_epochs_base_past_the_largest_float_is_rejected():
 
 def test_schedules_bound_their_arguments():
     # each call fails with ConfigError before any float arithmetic; the
-    # largest budget, 2**53 times the square root of a ratio of 2**22, is 2**64
+    # largest budget, 2**53 times the square root of a ratio of 2**22, is
+    # 2**64, and it clamps to epochs_max, at most MAX_EPOCHS
     cfg = TrainConfig()
     calls = {"class_count": [lambda: epoch_schedule(10 ** 400, 20, 5, cfg),
                              lambda: epoch_schedule(21, 20, 5, cfg),
@@ -146,16 +154,18 @@ def test_schedules_bound_their_arguments():
                              lambda: lambda_schedule(MAX_STREAM_SAMPLES + 1, cfg)],
              "num_tasks": [lambda: epoch_schedule(1, 20, 10 ** 400, cfg),
                            lambda: epoch_schedule(1, 20, 21, cfg)],
-             "epochs_base": [lambda: TrainConfig(epochs_base=2 ** 53 + 1)]}
+             "epochs_base": [lambda: TrainConfig(epochs_base=2 ** 53 + 1)],
+             "epochs_max": [lambda: TrainConfig(epochs_max=MAX_EPOCHS + 1),
+                            lambda: TrainConfig(epochs_base=2 ** 53, epochs_max=2 ** 64)]}
     for name, failing in calls.items():
         for call in failing:
             with pytest.raises(ConfigError, match=f"^{name} must lie in"):
                 call()
     assert epoch_schedule(20, 20, 20, cfg) == cfg.epochs_max
     assert lambda_schedule(MAX_STREAM_SAMPLES, cfg) == pytest.approx(cfg.lambda_min)
-    top = TrainConfig(epochs_base=2 ** 53, epochs_max=2 ** 64)
+    top = TrainConfig(epochs_base=2 ** 53, epochs_max=MAX_EPOCHS)
     assert epoch_schedule(MAX_STREAM_SAMPLES, MAX_STREAM_SAMPLES, MAX_STREAM_SAMPLES,
-                          top) == 2 ** 64
+                          top) == MAX_EPOCHS
 
 
 def test_epoch_schedule_guards():
@@ -337,11 +347,11 @@ def test_train_task_learns_an_easy_pair():
     assert not backbone.projection.flags.writeable
 
 
-def test_train_task_is_deterministic():
+def test_train_task_is_deterministic(quick):
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    (a,) = train_task(task, backbone, QUICK, epochs=2)
-    (b,) = train_task(task, backbone, QUICK, epochs=2)
+    (a,) = train_task(task, backbone, quick, epochs=2)
+    (b,) = train_task(task, backbone, quick, epochs=2)
     for wa, wb in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb)
     assert a.meta == task.meta
@@ -358,26 +368,26 @@ def test_train_task_zero_epochs_keeps_residual_identity():
     assert np.allclose(adapted, backbone.features(task.data.train_x))
 
 
-def test_train_task_warm_start_continues():
+def test_train_task_warm_start_continues(quick):
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    (first,) = train_task(stream.tasks[0], backbone, QUICK, epochs=2)
-    (cont,) = train_task(stream.tasks[1], backbone, QUICK, [first], epochs=2)
-    (fresh,) = train_task(stream.tasks[1], backbone, QUICK, epochs=2)
+    (first,) = train_task(stream.tasks[0], backbone, quick, epochs=2)
+    (cont,) = train_task(stream.tasks[1], backbone, quick, [first], epochs=2)
+    (fresh,) = train_task(stream.tasks[1], backbone, quick, epochs=2)
     assert cont.meta == stream.tasks[1].meta
     assert not np.array_equal(cont.layers[0], fresh.layers[0])
 
 
-def test_train_task_rejects_mismatched_init():
+def test_train_task_rejects_mismatched_init(quick):
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    b = QUICK.bottleneck
+    b = quick.bottleneck
     for layers in ([np.zeros((16, 2)), np.zeros((2, 16))],
                    [np.zeros((16, b)), np.zeros((b, 17))],
                    [np.zeros((16, b)), np.zeros((b + 1, 16))]):
         wrong = make_module(layers)
         with pytest.raises(ShapeError):
-            train_task(stream.tasks[0], backbone, QUICK, [None, wrong], epochs=2)
+            train_task(stream.tasks[0], backbone, quick, [None, wrong], epochs=2)
 
 
 def test_train_task_steps_by_lr(monkeypatch):
@@ -390,17 +400,18 @@ def test_train_task_steps_by_lr(monkeypatch):
 
     monkeypatch.setattr(sim, "objective_grads", constant_grads)
     task = _tiny_stream().tasks[0]
-    cfg = TrainConfig(lr=0.1, batch_size=task.data.train_x.shape[0])
-    (module,) = train_task(task, Backbone.from_seed(32, 16, 0), cfg, epochs=2)
+    monkeypatch.setattr(TrainConfig, "batch_size", task.data.train_x.shape[0])
+    (module,) = train_task(task, Backbone.from_seed(32, 16, 0), TrainConfig(), epochs=2)
     assert len(seen) == 2
     assert np.allclose(seen[0] - seen[1], 0.1, rtol=0.0, atol=1e-12)
     assert np.allclose(seen[1] - module.layers[0], 0.1, rtol=0.0, atol=1e-12)
 
 
-def test_train_task_divergence_reports_config():
+def test_train_task_divergence_reports_config(monkeypatch):
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    wild = TrainConfig(lr=1e300)
+    monkeypatch.setattr(TrainConfig, "lr", 1e300)
+    wild = TrainConfig()
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TrainingError) as err:
@@ -414,7 +425,8 @@ def test_train_task_non_finite_loss_raises_the_divergence_message(monkeypatch):
     # floating-point error announced is reported as the same divergence
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
-    wild = TrainConfig(lr=1e300)
+    monkeypatch.setattr(TrainConfig, "lr", 1e300)
+    wild = TrainConfig()
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TrainingError) as flagged:
@@ -435,10 +447,12 @@ def test_train_task_non_finite_loss_raises_the_divergence_message(monkeypatch):
 # on a one-row batch; four tasks hold one class each
 @pytest.mark.parametrize("classes, tasks, batch_size", [(4, 2, 5), (4, 4, 16), (4, 2, 1)],
                          ids=["short-last-batch", "single-class", "batch-size-1"])
-def test_train_task_stacked_members_match_solo_calls(classes, tasks, batch_size):
+def test_train_task_stacked_members_match_solo_calls(classes, tasks, batch_size,
+                                                     monkeypatch):
     stream = _tiny_stream(total_classes=classes, num_tasks=tasks,
                           order=TaskOrder.BALANCED)
-    cfg = TrainConfig(batch_size=batch_size, bottleneck=4)
+    monkeypatch.setattr(TrainConfig, "batch_size", batch_size)
+    cfg = TrainConfig(bottleneck=4)
     backbone = Backbone.from_seed(32, 16, 0)
     (carried,) = train_task(stream.tasks[0], backbone, cfg, epochs=2)
     task = stream.tasks[1]
@@ -452,38 +466,38 @@ def test_train_task_stacked_members_match_solo_calls(classes, tasks, batch_size)
     assert not np.array_equal(fresh.layers[1], cont.layers[1])
 
 
-def test_train_task_stacked_divergence_raises_the_solo_message():
+def test_train_task_stacked_divergence_raises_the_solo_message(quick, monkeypatch):
     stream = _tiny_stream()
     backbone = Backbone.from_seed(32, 16, 0)
-    (carried,) = train_task(stream.tasks[0], backbone, QUICK, epochs=2)
-    wild = TrainConfig(lr=1e300, batch_size=QUICK.batch_size, bottleneck=QUICK.bottleneck)
+    (carried,) = train_task(stream.tasks[0], backbone, quick, epochs=2)
+    monkeypatch.setattr(TrainConfig, "lr", 1e300)
     messages = []
     for inits in ([None], [carried], [None, carried], [carried, None]):
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingError) as err:
-                train_task(stream.tasks[1], backbone, wild, inits, epochs=8)
+                train_task(stream.tasks[1], backbone, quick, inits, epochs=8)
         messages.append(str(err.value))
     assert len(set(messages)) == 1
     assert "loss diverged on task 2" in messages[0]
 
 
-def test_train_task_needs_a_valid_epoch_count():
+def test_train_task_needs_a_valid_epoch_count(quick):
     task = _tiny_stream().tasks[0]
     backbone = Backbone.from_seed(32, 16, 0)
     with pytest.raises(TypeError, match="epochs"):
-        train_task(task, backbone, QUICK)
+        train_task(task, backbone, quick)
     with pytest.raises(ConfigError, match="^epochs must be >= 0, got -1$"):
-        train_task(task, backbone, QUICK, epochs=-1)
+        train_task(task, backbone, quick, epochs=-1)
 
 
-def test_train_task_needs_an_init():
+def test_train_task_needs_an_init(quick):
     with pytest.raises(ConfigError, match="at least one init"):
-        train_task(_tiny_stream().tasks[0], Backbone.from_seed(32, 16, 0), QUICK, [],
+        train_task(_tiny_stream().tasks[0], Backbone.from_seed(32, 16, 0), quick, [],
                    epochs=2)
 
 
-def test_train_task_rejects_empty_task():
+def test_train_task_rejects_empty_task(quick):
     empty = SyntheticDataset(train_x=np.empty((0, 32)),
                              train_y=np.empty(0, dtype=np.int64),
                              test_x=np.ones((1, 32)),
@@ -491,7 +505,7 @@ def test_train_task_rejects_empty_task():
     task = Task(meta=TaskMeta(task_id=1, class_ids=frozenset({0}),
                               sample_count=0), data=empty)
     with pytest.raises(ConfigError):
-        train_task(task, Backbone.from_seed(32, 16, 0), QUICK, epochs=2)
+        train_task(task, Backbone.from_seed(32, 16, 0), quick, epochs=2)
 
 
 # --------------------------------------------------------------- prototypes
@@ -681,9 +695,9 @@ def test_predict_across_banks_matches_reference_loop():
 
 # ------------------------------------------------------------- run_sequence
 
-def test_run_sequence_report_shape():
+def test_run_sequence_report_shape(quick):
     stream = _tiny_stream()
-    report = run_sequence(stream, Strategy.ONE_A, QUICK)
+    report = run_sequence(stream, Strategy.ONE_A, quick)
     assert report.strategy == "one-a"
     assert report.stream_seed == 0
     assert len(report.step_acc) == 2
@@ -692,34 +706,35 @@ def test_run_sequence_report_shape():
     assert report.acc_matrix[1][0] is None
     assert report.acc_matrix[1][1] is not None
     assert report.class_counts == [t.meta.class_count for t in stream.tasks]
-    assert "classes" in report.config and "lr" in report.config
+    assert "classes" in report.config and "epochs_base" in report.config
+    assert "lr" not in report.config and "batch_size" not in report.config
     assert "seed" not in report.config
     assert "merge_ms" in report.timings
 
 
-def test_run_sequence_svd_budget_per_strategy():
+def test_run_sequence_svd_budget_per_strategy(quick):
     stream = _tiny_stream()
     budget = {Strategy.ONE_A: 2, Strategy.AVERAGE: 0, Strategy.SYMMETRIC: 2,
               Strategy.PER_TASK: 0, Strategy.SINGLE_FINETUNE: 0, Strategy.BACKBONE: 0}
     for strategy, want in budget.items():
-        report = run_sequence(stream, strategy, QUICK)
+        report = run_sequence(stream, strategy, quick)
         assert report.svd_calls == want, strategy
 
 
-def test_run_sequence_is_bit_reproducible():
+def test_run_sequence_is_bit_reproducible(quick):
     stream = _tiny_stream()
-    a = run_sequence(stream, Strategy.ONE_A, QUICK)
-    b = run_sequence(stream, Strategy.ONE_A, QUICK)
+    a = run_sequence(stream, Strategy.ONE_A, quick)
+    b = run_sequence(stream, Strategy.ONE_A, quick)
     assert a.canonical_bytes() == b.canonical_bytes()
 
 
-def test_run_sequence_adapters_out():
+def test_run_sequence_adapters_out(quick):
     stream = _tiny_stream()
-    _, merged = run_sequence(stream, Strategy.ONE_A, QUICK,
+    _, merged = run_sequence(stream, Strategy.ONE_A, quick,
                              return_adapters=True)
     assert len(merged) == 1
     assert merged[0].meta.class_ids == set(range(4))
-    _, per_task = run_sequence(stream, Strategy.PER_TASK, QUICK,
+    _, per_task = run_sequence(stream, Strategy.PER_TASK, quick,
                                return_adapters=True)
     assert len(per_task) == 2
     assert per_task[0].meta.task_id == 1
@@ -729,14 +744,14 @@ def _stream_union(stream):
     return functools.reduce(TaskMeta.union, (t.meta for t in stream.tasks))
 
 
-def test_run_sequence_single_finetune_deploys_the_union_meta():
+def test_run_sequence_single_finetune_deploys_the_union_meta(quick):
     stream = _tiny_stream()
-    _, modules = run_sequence(stream, Strategy.SINGLE_FINETUNE, QUICK,
+    _, modules = run_sequence(stream, Strategy.SINGLE_FINETUNE, quick,
                               return_adapters=True)
     assert modules[0].meta == _stream_union(stream)
 
 
-def test_every_single_member_strategy_deploys_the_stream_union():
+def test_every_single_member_strategy_deploys_the_stream_union(quick):
     # a fold unions the metadata it absorbs and a replaced member does the
     # same, so a deployed header names every class and sample it serves
     stream = _tiny_stream(total_classes=6, num_tasks=3)
@@ -745,13 +760,13 @@ def test_every_single_member_strategy_deploys_the_stream_union():
         (3, frozenset(range(6)), sum(t.meta.sample_count for t in stream.tasks))
     strategies = [s for s in Strategy if s not in sim.PER_TASK_STRATEGIES]
     for strategy, (_, (module,)) in zip(strategies,
-                                        run_strategies(stream, strategies, QUICK)):
+                                        run_strategies(stream, strategies, quick)):
         assert module.meta == want, strategy
 
 
-def test_run_sequence_backbone_deploys_the_identity_adapter():
+def test_run_sequence_backbone_deploys_the_identity_adapter(quick):
     stream = _tiny_stream(total_classes=6, num_tasks=3)
-    report, (module,) = run_sequence(stream, Strategy.BACKBONE, QUICK,
+    report, (module,) = run_sequence(stream, Strategy.BACKBONE, quick,
                                      return_adapters=True)
     assert [w.shape for w in module.layers] == [(sim.BACKBONE_DIM, 4),
                                                 (4, sim.BACKBONE_DIM)]
@@ -761,27 +776,27 @@ def test_run_sequence_backbone_deploys_the_identity_adapter():
     assert report.timings["merge_ms"] == [0.0] * 3
 
 
-def test_run_sequence_single_task_stream():
-    report = run_sequence(_single_task_stream(), Strategy.AVERAGE, QUICK)
+def test_run_sequence_single_task_stream(quick):
+    report = run_sequence(_single_task_stream(), Strategy.AVERAGE, quick)
     assert len(report.step_acc) == 1
     assert report.acc_matrix[0][0] == report.step_acc[0]
 
 
-def test_run_sequence_rejects_raw_strings():
+def test_run_sequence_rejects_raw_strings(quick):
     with pytest.raises(ConfigError):
-        run_sequence(_tiny_stream(), "one-a", QUICK)
+        run_sequence(_tiny_stream(), "one-a", quick)
 
 
 @pytest.mark.parametrize("order", ["given", "reversed"])
-def test_run_strategies_matches_run_sequence_per_strategy(order):
+def test_run_strategies_matches_run_sequence_per_strategy(order, quick):
     stream = _tiny_stream(total_classes=6, num_tasks=3)
     strategies = list(Strategy)
     if order == "reversed":
         strategies.reverse()
-    results = run_strategies(stream, strategies, QUICK)
+    results = run_strategies(stream, strategies, quick)
     assert [r.strategy for r, _ in results] == [s.value for s in strategies]
     for strategy, (report, adapters) in zip(strategies, results):
-        alone, alone_adapters = run_sequence(stream, strategy, QUICK,
+        alone, alone_adapters = run_sequence(stream, strategy, quick,
                                              return_adapters=True)
         assert report.canonical_bytes() == alone.canonical_bytes(), strategy
         assert [serialize(m) for m in adapters] == \
@@ -798,7 +813,8 @@ def test_run_strategies_matches_run_sequence_per_strategy(order):
     ([Strategy.BACKBONE], []),
     ([Strategy.BACKBONE, Strategy.SINGLE_FINETUNE], ["fresh", "continued", "continued"]),
 ])
-def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, stacks):
+def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, stacks,
+                                                     quick):
     calls = []
 
     def recording(task, backbone, cfg, inits=(None,), **kwargs):
@@ -808,7 +824,7 @@ def test_run_strategies_trains_each_task_in_one_call(monkeypatch, strategies, st
 
     monkeypatch.setattr(sim, "train_task", recording)
     results = run_strategies(_tiny_stream(total_classes=6, num_tasks=3),
-                             strategies, QUICK)
+                             strategies, quick)
     assert calls == stacks
     # a strategy listed twice shares one continuation: equal bytes twice
     first = {}
@@ -842,7 +858,7 @@ def _rescored_per_task(tasks, adapters, banks, backbone):
     dict(total_classes=12, num_tasks=8, order=TaskOrder.DESCENDING,
          samples_per_class=3),
 ], ids=["permuted", "descending-one-row-blocks"])
-def test_per_task_running_best_matches_full_rescoring(monkeypatch, spec):
+def test_per_task_running_best_matches_full_rescoring(monkeypatch, spec, quick):
     stream = _tiny_stream(**spec)
     banks, backbones = [], []
 
@@ -852,7 +868,7 @@ def test_per_task_running_best_matches_full_rescoring(monkeypatch, spec):
         return banks[-1]
 
     monkeypatch.setattr(sim, "compute_prototypes", recording)
-    report, adapters = run_strategies(stream, [Strategy.PER_TASK], QUICK)[0]
+    report, adapters = run_strategies(stream, [Strategy.PER_TASK], quick)[0]
     acc, step_acc = _rescored_per_task(stream.tasks, adapters, banks, backbones[0])
     assert report.acc_matrix == acc
     assert report.step_acc == step_acc
@@ -889,7 +905,7 @@ def test_per_task_running_best_on_exact_ties():
     assert run.step_acc == step_acc
 
 
-def test_per_task_scores_each_member_on_each_test_row_once(monkeypatch):
+def test_per_task_scores_each_member_on_each_test_row_once(monkeypatch, quick):
     stream = _tiny_stream(total_classes=12, num_tasks=6)
     rows, calls = [], []    # scored rows and adapter forwards, per step
     in_prototypes = False
@@ -913,27 +929,28 @@ def test_per_task_scores_each_member_on_each_test_row_once(monkeypatch):
     sim_adapter_forward = sim.adapter_forward
     monkeypatch.setattr(sim, "adapter_forward", counting)
     monkeypatch.setattr(sim, "compute_prototypes", marking)
-    run_strategies(stream, [Strategy.PER_TASK], QUICK)
+    run_strategies(stream, [Strategy.PER_TASK], quick)
     t_total = len(stream.tasks)
     test_rows = sum(t.data.test_x.shape[0] for t in stream.tasks)
     assert calls == list(range(1, t_total + 1))
     assert sum(rows) == t_total * test_rows
 
 
-def test_run_strategies_rejects_empty_and_unknown():
+def test_run_strategies_rejects_empty_and_unknown(quick):
     with pytest.raises(ConfigError):
-        run_strategies(_tiny_stream(), [], QUICK)
+        run_strategies(_tiny_stream(), [], quick)
     with pytest.raises(ConfigError):
-        run_strategies(_tiny_stream(), [Strategy.ONE_A, "average"], QUICK)
+        run_strategies(_tiny_stream(), [Strategy.ONE_A, "average"], quick)
 
 
-def test_zero_updates_fold_like_any_other():
+def test_zero_updates_fold_like_any_other(monkeypatch):
     # one class per task at batch size 1: no batch holds a contrastive
     # pair, so every w_up keeps its zero init, each one-a merge meets an
     # all-zero base, and one-a's folded w_up stays zero too
     stream = build_stream(StreamSpec(total_classes=4, num_tasks=4,
                                      order=TaskOrder.BALANCED))
-    results = run_strategies(stream, list(Strategy), TrainConfig(batch_size=1))
+    monkeypatch.setattr(TrainConfig, "batch_size", 1)
+    results = run_strategies(stream, list(Strategy), TrainConfig())
     for _, adapters in results:
         assert all(not module.layers[1].any() for module in adapters)
     reports = [report for report, _ in results]
@@ -957,11 +974,11 @@ def test_zero_epochs_match_the_backbone_floor(order, seed):
         assert report.acc_matrix == floor.acc_matrix, report.strategy
 
 
-def test_fold_first_task_and_non_merge_strategies():
+def test_fold_first_task_and_non_merge_strategies(quick):
     # the first task has nothing to fold into: each fold strategy keeps the
     # task's fresh adapter as per-task does, with no merge time and no SVD
     results = run_strategies(_single_task_stream(),
-                             [Strategy.PER_TASK, *sim.FOLD_STRATEGIES], QUICK)
+                             [Strategy.PER_TASK, *sim.FOLD_STRATEGIES], quick)
     (fresh,) = results[0][1]
     for report, (adapter,) in results[1:]:
         assert modules_equal(adapter, fresh), report.strategy

@@ -1,6 +1,7 @@
 """Task-stream generation: long-tail ratios, allocation, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from onea import (ConfigError, Strategy, StreamSpec, TaskOrder, TrainConfig,
                   allocate_tasks, build_stream, class_ratios, run_sequence)
-from onea.stream import FEATURE_DIM, MAX_STREAM_SAMPLES, TRAIN_FRACTION
+from onea.stream import (FEATURE_DIM, MAX_STREAM_SAMPLES, TRAIN_FRACTION,
+                         _largest_remainder)
 
 
 def _spec(**kwargs):
@@ -73,6 +75,11 @@ def test_allocate_counts_are_a_partition():
         assert len(counts) == t
         assert min(counts) >= 1
         assert counts == sorted(counts, reverse=True)
+
+
+def test_largest_remainder_rejects_shares_past_the_total():
+    with pytest.raises(AssertionError, match="^fractional shares exceed the total$"):
+        _largest_remainder(np.array([2.0, 2.0]), 3)
 
 
 def test_allocate_balanced_splits_evenly():
@@ -217,6 +224,22 @@ def test_build_stream_split_sizes_and_labels():
         assert set(task.data.test_y) == task.meta.class_ids
         counts = np.bincount(task.data.train_y, minlength=20)
         assert all(counts[c] == n_train for c in task.meta.class_ids)
+
+
+def test_build_stream_peak_memory_stays_near_its_samples():
+    # the samples are one array, scaled and shifted in place, and each
+    # task's splits are indexed from it, so the build's peak allocation
+    # stays under 2.6 times the stream's float64 sample data
+    spec = StreamSpec(total_classes=2000, num_tasks=10, seed=0)
+    data_bytes = spec.total_classes * spec.samples_per_class * FEATURE_DIM * 8
+    tracemalloc.start()
+    try:
+        stream = build_stream(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.meta.class_count for t in stream.tasks) == 2000
+    assert peak < 2.6 * data_bytes, peak / data_bytes
 
 
 def test_build_stream_data_is_immutable():

@@ -3,7 +3,11 @@
 Runs `onea run` on thirteen configs x stream/train seeds {0, 3}, nine with
 the five strategies other than backbone (one of them on an ascending
 stream, head task last, and one-task on a stream of a single task, where
-no fold runs and no report has a forgetting value) and four with a single one
+no fold runs and no report has a forgetting value; in 32-row batches,
+spc23-energy's tasks of 18 train rows a class end their epochs on short
+batches, and balanced-one-row-batch's tasks of one class and 33 train
+rows on a one-row batch, which holds no contrastive pair) and four with
+a single one
 (single-finetune alone trains only the continuation past the first task,
 per-task alone only fresh adapters; per-task-one-row has one test row per
 task, so every test block is scored through the single-row product path;
@@ -22,9 +26,10 @@ reports back with `onea compare` over each run's reports, the merge_ms
 column (wall time) masked, whose rows carry every metric of every
 report. Then `onea gen-stream` writes three manifests, one of them
 balanced. Last come invocations that fail: `onea
-run` with a wrong type, a range error, a stream, a bottleneck or an
-epochs_base past its bound or an unknown key, and `onea merge` on a
-missing and on a truncated .onea file.
+run` with a wrong type, a range error, a stream, a bottleneck, an
+epochs_base or an epochs_max past its bound, or an unknown key (lr is one,
+a TrainConfig constant), and `onea merge` on a missing and on a truncated
+.onea file.
 Each case hashes its exit code, its stdout and stderr (output directory
 masked), each report's canonical_bytes() and every .onea file it wrote; a
 failing case hashes whether its output exists instead. Prints one
@@ -52,16 +57,15 @@ CONFIGS = {
     "default": {},
     "descending-frobenius": {"order": "descending", "info_proxy": "frobenius"},
     "ascending": {"order": "ascending"},
-    "batch7-energy": {"batch_size": 7, "samples_per_class": 23,
-                      "info_proxy": "singular-energy"},
+    "spc23-energy": {"samples_per_class": 23, "info_proxy": "singular-energy"},
     "100x50": {"classes": 100, "tasks": 50, "epochs_base": 3},
-    "balanced-batch1": {"classes": 12, "tasks": 6, "order": "balanced",
-                        "batch_size": 1},
+    "balanced-one-row-batch": {"classes": 12, "tasks": 12, "order": "balanced",
+                               "samples_per_class": 41},
     "single-finetune-only": {"strategies": ["single-finetune"]},
     "per-task-only": {"strategies": ["per-task"]},
     "backbone-only": {"strategies": ["backbone"]},
     "per-task-one-row": {"classes": 12, "tasks": 12, "samples_per_class": 3,
-                         "batch_size": 4, "strategies": ["per-task"]},
+                         "strategies": ["per-task"]},
     "zero-updates": {"epochs_min": 0, "epochs_max": 0, "info_proxy": "frobenius"},
     "bottleneck3": {"classes": 12, "tasks": 4, "bottleneck": 3},
     "one-task": {"classes": 4, "tasks": 1},
@@ -85,11 +89,12 @@ GEN_STREAM_CASES = {
 }
 
 # --set flags that `onea run` rejects with exit 2 before it creates out_dir
-FAILING_RUN_SETTINGS = {"classes-float": "classes=2.5", "lr-zero": "lr=0",
+FAILING_RUN_SETTINGS = {"classes-float": "classes=2.5", "unknown-key-lr": "lr=0",
                         "gamma-string": 'gamma="x"', "order-int": "order=5",
                         "unknown-key": "no_such_key=1", "bottleneck-33": "bottleneck=33",
                         "classes-1e8": "classes=100000000",
-                        "epochs_base-2**53+1": "epochs_base=9007199254740993"}
+                        "epochs_base-2**53+1": "epochs_base=9007199254740993",
+                        "epochs_max-past-bound": "epochs_max=1001"}
 
 
 def call_cli(main, argv: list[str], mask: Path) -> list[bytes]:
