@@ -5,10 +5,9 @@ from .adapter import (AdapterModule, TaskMeta, adapter_forward, deserialize,
                       load_module, mergeable, save_module, serialize)
 from .errors import (ConfigError, FormatError, NumericError, OneaError,
                      ShapeError, TrainingError)
-from .merge import (GateVector, InfoProxy, MergeConfig, MergeTrace,
-                    SingularDecomposition, gate_vector, info_weights,
-                    merge_average, merge_layer, merge_modules, merge_symmetric,
-                    select_roles, thin_svd)
+from .merge import (GateVector, MergeConfig, MergeTrace, SingularDecomposition,
+                    gate_vector, info_weights, merge_average, merge_layer,
+                    merge_modules, merge_symmetric, select_roles, thin_svd)
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       step_damage, weighted_average_accuracy)
 from .sim import (Backbone, PrototypeBank, Strategy, TrainConfig,

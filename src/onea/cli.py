@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .adapter import load_module, save_module
 from .errors import ConfigError, FormatError, NumericError, OneaError, clip, clip_repr
-from .merge import InfoProxy, MergeConfig
+from .merge import MergeConfig
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       step_damage, weighted_average_accuracy)
 from .sim import (FOLD_STRATEGIES, PER_TASK_STRATEGIES, Strategy, TrainConfig,
@@ -148,9 +148,8 @@ def cmd_run(args) -> int:
 def cmd_merge(args) -> int:
     accumulated = load_module(args.accumulated)
     new = load_module(args.new)
-    merge_cfg = _config_object(MergeConfig, vars(args))
     merged, trace = fold(Strategy(args.strategy), accumulated, new, args.n_prev,
-                         merge_cfg)
+                         MergeConfig())
     save_module(merged, args.out)  # an unwritable --out prints nothing
     if trace is None:
         print(f"averaged {len(merged.layers)} layers with n_prev={clip_repr(args.n_prev)}")
@@ -274,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--out", required=True)
     merge.add_argument("--strategy", default=FOLD_STRATEGIES[0].value,
                        choices=[s.value for s in FOLD_STRATEGIES])
-    merge.add_argument("--proxy", dest="info_proxy",
-                       default=MergeConfig.info_proxy.value,
-                       choices=[p.value for p in InfoProxy])
     merge.add_argument("--n-prev", type=int, default=1,
                        help="tasks already absorbed (average strategy)")
     merge.set_defaults(func=cmd_merge)

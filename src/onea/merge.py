@@ -10,7 +10,6 @@ concat-then-SVD merge, which works out to a linear blend of the two.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -19,16 +18,7 @@ import numpy as np
 
 from .adapter import AdapterModule, TaskMeta, as_matrix, freeze, mergeable
 from .counters import SVD_CALLS
-from .errors import (ConfigError, NumericError, ShapeError, check_float,
-                     check_int, clip_repr)
-
-
-class InfoProxy(enum.Enum):
-    """How much a task knows, for weighting its update during fusion."""
-
-    CLASS_COUNT = "class-count"
-    FROBENIUS_NORM = "frobenius"
-    SINGULAR_ENERGY = "singular-energy"
+from .errors import ConfigError, NumericError, ShapeError, check_float, check_int
 
 
 def _unit_interval(name: str, value) -> float:
@@ -41,7 +31,7 @@ def _unit_interval(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Knobs of the asymmetric merge: info_proxy, and four constants.
+    """The asymmetric merge's four gate constants; it has no fields.
 
     quantile_q picks the gate threshold within the normalized spectrum and
     sharpness_kappa sets how hard the gate saturates; delta guards the
@@ -53,12 +43,6 @@ class MergeConfig:
     sharpness_kappa: ClassVar[float] = 10.0
     delta: ClassVar[float] = 1e-6
     rank_eps: ClassVar[float] = 1e-10
-    info_proxy: InfoProxy = InfoProxy.CLASS_COUNT
-
-    def __post_init__(self):
-        if not isinstance(self.info_proxy, InfoProxy):
-            raise ConfigError("info_proxy must be an InfoProxy, "
-                              f"got {clip_repr(self.info_proxy)}")
 
 
 @dataclass(frozen=True)
@@ -132,23 +116,15 @@ def select_roles(new: AdapterModule, accumulated: AdapterModule):
 
 
 def info_weights(base_meta: TaskMeta, align_meta: TaskMeta,
-                 base_w: np.ndarray, align_w: np.ndarray,
-                 cfg: MergeConfig) -> tuple[float, float]:
-    """Convex weights (w_b, w_a) from the configured information proxy.
+                 base_w: np.ndarray | None = None, align_w: np.ndarray | None = None,
+                 cfg: MergeConfig | None = None) -> tuple[float, float]:
+    """Convex weights (w_b, w_a) in proportion to each task's class count.
 
-    The singular-energy proxy is the sum of squared singular values, which
-    equals the squared Frobenius norm, so no decomposition is spent here.
+    Every TaskMeta holds at least one class, so the shares are defined.
+    The weights depend on the metadata alone: base_w, align_w and cfg are
+    unused, and one pair serves every layer of a merge.
     """
-    base_w = as_matrix(base_w, "base_w")
-    align_w = as_matrix(align_w, "align_w")
-    if cfg.info_proxy is InfoProxy.CLASS_COUNT:
-        phi_b, phi_a = float(base_meta.class_count), float(align_meta.class_count)
-    elif cfg.info_proxy is InfoProxy.FROBENIUS_NORM:
-        phi_b, phi_a = np.linalg.norm(base_w), np.linalg.norm(align_w)
-    else:
-        phi_b, phi_a = np.linalg.norm(base_w) ** 2, np.linalg.norm(align_w) ** 2
-    if phi_b == 0.0 and phi_a == 0.0:
-        return 0.5, 0.5
+    phi_b, phi_a = float(base_meta.class_count), float(align_meta.class_count)
     w_a = phi_a / (phi_a + phi_b)
     return 1.0 - w_a, w_a
 
@@ -263,9 +239,9 @@ def merge_modules(new: AdapterModule, accumulated: AdapterModule,
                   cfg: MergeConfig) -> AdapterModule:
     """Fold a newly trained module into the accumulated one.
 
-    Roles are selected once per module pair from sample counts, weights
-    are computed per layer from the information proxy, and each layer is
-    merged independently. Costs exactly one thin SVD per layer.
+    Roles are selected once per module pair from sample counts, one
+    weight pair comes from the class counts, and each layer is merged
+    independently. Costs exactly one thin SVD per layer.
     """
     return _merge_traced(new, accumulated, cfg)[0]
 
@@ -275,9 +251,9 @@ def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
     """merge_modules with the trace of its decisions."""
     _check_mergeable(new, accumulated)
     base, align = select_roles(new, accumulated)
+    w_b, w_a = info_weights(base.meta, align.meta)
     merged, trace = [], []
     for base_layer, align_layer in zip(base.layers, align.layers):
-        w_b, w_a = info_weights(base.meta, align.meta, base_layer, align_layer, cfg)
         layer, rank = _merge_layer(base_layer, align_layer, w_b, w_a, cfg)
         merged.append(layer)
         trace.append((rank, w_b, w_a))

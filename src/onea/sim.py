@@ -396,7 +396,7 @@ def _predict_across_banks(h, adapters, banks, best=None
 
 
 def _fold_symmetric(acc, new, n_prev, cfg):
-    w_b, w_a = info_weights(acc.meta, new.meta, acc.layers[0], new.layers[0], cfg)
+    w_b, w_a = info_weights(acc.meta, new.meta)
     trace = MergeTrace(base=acc.meta, align=new.meta,
                        layers=((None, w_b, w_a),) * len(acc.layers))
     return merge_symmetric(new, acc, w_b, w_a, cfg), trace

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onea import (ConfigError, InfoProxy, MergeConfig, RunReport, Strategy, StreamSpec,
+from onea import (ConfigError, MergeConfig, RunReport, Strategy, StreamSpec,
                   TaskOrder, TrainConfig, average_accuracy, forgetting, last_accuracy,
                   load_module, save_module, step_damage, weighted_average_accuracy)
 from onea.cli import RUN_DEFAULTS, _build_objects, main
@@ -205,7 +205,6 @@ def test_run_defaults_keys_values_and_types():
         "samples_per_class": 50, "stream_seed": 0,
         "epochs_base": 15, "epochs_min": 2, "epochs_max": 60,
         "bottleneck": 8, "train_seed": 0,
-        "info_proxy": "class-count",
         "strategies": ["one-a", "average"],
     }
     assert RUN_DEFAULTS == want
@@ -220,7 +219,6 @@ def test_run_report_echoes_every_key(tmp_path):
         "samples_per_class": 10, "stream_seed": 3,
         "epochs_base": 1, "epochs_min": 1, "epochs_max": 3,
         "bottleneck": 4, "train_seed": 5,
-        "info_proxy": "frobenius",
         "strategies": ["symmetric"],
     }
     assert set(conf) == set(RUN_DEFAULTS)
@@ -262,6 +260,8 @@ def test_run_report_echoes_every_key(tmp_path):
     # the SGD step size and batch size are TrainConfig constants
     ["run", "--set", "lr=0.1"],
     ["run", "--set", "batch_size=32"],
+    # the information weights are the class-count pair, with no proxy key
+    ["run", "--set", "info_proxy=class-count"],
 ])
 def test_run_config_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -513,14 +513,15 @@ def test_merge_rejects_the_backbone_strategy(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--delta", "--rank-eps", "--quantile-q", "--kappa"])
+@pytest.mark.parametrize("flag", ["--delta", "--rank-eps", "--quantile-q", "--kappa",
+                                  "--proxy"])
 def test_merge_rejects_the_gate_constants_as_flags(flag, tmp_path, capsys):
     # delta, rank_eps, quantile_q and sharpness_kappa are MergeConfig
-    # constants, not options
+    # constants, not options, and the weights have no proxy to pick
     pa, pb = _two_modules(tmp_path)
     out = tmp_path / "merged.onea"
     value = {"--delta": "1e-4", "--rank-eps": "0.5", "--quantile-q": "0.3",
-             "--kappa": "5"}[flag]
+             "--kappa": "5", "--proxy": "class-count"}[flag]
     assert main(["merge", str(pa), str(pb), "--out", str(out), flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -640,7 +641,6 @@ def _small_run_configs(draw):
         "epochs_max": draw(st.integers(0, 3)),
         "bottleneck": draw(st.integers(1, 3)),
         "order": draw(st.sampled_from([o.value for o in TaskOrder])),
-        "info_proxy": draw(st.sampled_from([p.value for p in InfoProxy])),
         # not run keys: the test patches the TrainConfig and MergeConfig
         # constants
         "batch_size": draw(st.integers(1, 4)),
@@ -696,8 +696,7 @@ def _config_objects(draw):
     train = TrainConfig(epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
                         epochs_max=draw(st.integers(epochs_min, MAX_EPOCHS)),
                         bottleneck=draw(st.integers(1, BACKBONE_DIM)), seed=draw(_SEEDS))
-    merge_cfg = MergeConfig(info_proxy=draw(st.sampled_from(InfoProxy)))
-    return spec, train, merge_cfg
+    return spec, train, MergeConfig()
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ ConfigError, and a numpy integer is accepted and stored as a Python int."""
 import numpy as np
 import pytest
 
-from onea import (Backbone, ConfigError, MergeConfig, Strategy, StreamSpec, TaskMeta,
+from onea import (Backbone, ConfigError, Strategy, StreamSpec, TaskMeta,
                   TrainConfig, build_stream, class_ratios, epoch_schedule,
                   lambda_schedule, merge_average, run_strategies, train_task)
 from onea.errors import check_float, check_int
@@ -125,8 +125,6 @@ def test_values_holding_integers_past_the_digit_limit_are_quoted_by_type():
     calls = {
         f"n must be an integer, got {held}": lambda: check_int("n", [huge]),
         f"x must be a number, got {held}": lambda: check_float("x", [huge]),
-        "info_proxy must be an InfoProxy, got an integer of 16610 bits":
-            lambda: MergeConfig(info_proxy=huge),
         "order must be a TaskOrder, got an integer of 16610 bits":
             lambda: _spec(order=huge),
         "unknown strategy an integer of 16610 bits":

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from onea import (ConfigError, GateVector, InfoProxy, MergeConfig,
-                  NumericError, ShapeError, StreamSpec, Strategy, TaskMeta,
+from onea import (ConfigError, GateVector, MergeConfig, NumericError,
+                  ShapeError, StreamSpec, Strategy, TaskMeta,
                   TrainConfig, build_stream, gate_vector, info_weights,
                   merge_average, merge_layer, merge_modules, merge_symmetric,
                   run_sequence, select_roles, thin_svd)
@@ -33,16 +33,18 @@ def _meta(task_id=1, class_ids=(0,), sample_count=10):
     {"info_proxy": "frobenius"}, {"info_proxy": "class-count"},
 ])
 def test_merge_config_validation(kwargs):
-    with pytest.raises(ConfigError):
+    # info_proxy is no field: the weights are always the class-count pair,
+    # so passing it is a TypeError whatever the value, its old default too
+    with pytest.raises(TypeError):
         MergeConfig(**kwargs)
 
 
 def test_merge_config_gate_shapes_are_constants():
-    # the four gate constants keep their values, info_proxy is the one
+    # the four gate constants keep their values, MergeConfig has no
     # field, and neither quantile_q nor sharpness_kappa can be passed
     assert (MergeConfig.quantile_q, MergeConfig.sharpness_kappa, MergeConfig.delta,
             MergeConfig.rank_eps) == (0.5, 10.0, 1e-6, 1e-10)
-    assert [f.name for f in dataclasses.fields(MergeConfig)] == ["info_proxy"]
+    assert dataclasses.fields(MergeConfig) == ()
     for name, value in (("quantile_q", 0.3), ("sharpness_kappa", 5.0)):
         with pytest.raises(TypeError):
             MergeConfig(**{name: value})
@@ -158,32 +160,12 @@ def test_info_weights_class_count():
     assert (w_b, w_a) == (0.75, 0.25)
 
 
-def test_info_weights_frobenius_and_energy():
-    base = np.array([[3.0, 0.0], [0.0, 0.0]])
-    align = np.array([[1.0, 0.0], [0.0, 0.0]])
-    cfg = MergeConfig(info_proxy=InfoProxy.FROBENIUS_NORM)
-    assert info_weights(_meta(), _meta(), base, align, cfg) == (0.75, 0.25)
-    cfg = MergeConfig(info_proxy=InfoProxy.SINGULAR_ENERGY)
-    w_b, w_a = info_weights(_meta(), _meta(), base, align, cfg)
-    assert math.isclose(w_b, 0.9) and math.isclose(w_a, 0.1)
-
-
-def test_info_weights_zero_proxies_fall_back():
-    cfg = MergeConfig(info_proxy=InfoProxy.FROBENIUS_NORM)
-    zero = np.zeros((2, 2))
-    # silently: the suite turns any warning into an error
-    assert info_weights(_meta(), _meta(), zero, zero, cfg) == (0.5, 0.5)
-
-
 def test_info_weights_are_convex():
     rng = np.random.default_rng(5)
-    for proxy in InfoProxy:
-        cfg = MergeConfig(info_proxy=proxy)
-        w_b, w_a = info_weights(_meta(class_ids=(1, 2)), _meta(class_ids=(3,)),
-                                rng.normal(size=(3, 3)),
-                                rng.normal(size=(3, 3)), cfg)
-        assert math.isclose(w_b + w_a, 1.0)
-        assert 0.0 <= w_a <= 1.0
+    w_b, w_a = info_weights(_meta(class_ids=(1, 2)), _meta(class_ids=(3,)),
+                            rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), CFG)
+    assert math.isclose(w_b + w_a, 1.0)
+    assert 0.0 <= w_a <= 1.0
 
 
 # -------------------------------------------------------------- gate_vector
@@ -661,11 +643,10 @@ def test_merges_do_not_depend_on_svd_signs(shape):
             assert got.tobytes() == want.tobytes()
             new = make_module([base, align.T], task_id=2, sample_count=30)
             acc = make_module([align, base.T], task_id=1, sample_count=20)
-            cfg = MergeConfig(info_proxy=InfoProxy.FROBENIUS_NORM)
-            for got, new_w, acc_w in zip(merge_modules(new, acc, cfg).layers,
+            for got, new_w, acc_w in zip(merge_modules(new, acc, CFG).layers,
                                          new.layers, acc.layers):
-                w_b, w_a = info_weights(new.meta, acc.meta, new_w, acc_w, cfg)
-                want = _signed_merge_layer(new_w, acc_w, w_b, w_a, cfg)
+                w_b, w_a = info_weights(new.meta, acc.meta, new_w, acc_w, CFG)
+                want = _signed_merge_layer(new_w, acc_w, w_b, w_a, CFG)
                 assert got.tobytes() == want.tobytes()
     # the test means something only if reference_svd flipped some LAPACK sign
     assert flipped

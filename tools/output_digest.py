@@ -4,7 +4,7 @@ Runs `onea run` on thirteen configs x stream/train seeds {0, 3}, nine with
 the five strategies other than backbone (one of them on an ascending
 stream, head task last, and one-task on a stream of a single task, where
 no fold runs and no report has a forgetting value; in 32-row batches,
-spc23-energy's tasks of 18 train rows a class end their epochs on short
+spc23's tasks of 18 train rows a class end their epochs on short
 batches, and balanced-one-row-batch's tasks of one class and 33 train
 rows on a one-row batch, which holds no contrastive pair) and four with
 a single one
@@ -12,11 +12,10 @@ a single one
 per-task alone only fresh adapters; per-task-one-row has one test row per
 task, so every test block is scored through the single-row product path;
 backbone alone trains nothing, and its compare adds the excess-damage
-columns; zero-updates trains no epoch, so every w_up stays zero and both
-frobenius proxies are 0;
+columns; zero-updates trains no epoch, so every w_up stays zero;
 bottleneck3 is the one config whose adapters are not 8 wide), then
 `onea merge` for the three fold strategies on adapters from those runs,
-under default flags and under --proxy frobenius --n-prev 2, and for the
+under default flags and under --n-prev 2, and for the
 three fold strategies on two zero-updates adapters, whose zero w_up
 layers merge at effective rank 0 under one-a and could surface signed
 zeros under any, and for the three fold strategies on two bottleneck3
@@ -28,8 +27,9 @@ report. Then `onea gen-stream` writes three manifests, one of them
 balanced. Last come invocations that fail: `onea
 run` with a wrong type, a range error, a stream, a bottleneck, an
 epochs_base or an epochs_max past its bound, or an unknown key (lr is one,
-a TrainConfig constant), and `onea merge` on a missing and on a truncated
-.onea file.
+a TrainConfig constant, and info_proxy another, as the information weights
+are always the class-count pair), and `onea merge` on a missing and on a
+truncated .onea file and with the --proxy flag it does not take.
 Each case hashes its exit code, its stdout and stderr (output directory
 masked), each report's canonical_bytes() and every .onea file it wrote; a
 failing case hashes whether its output exists instead. Prints one
@@ -55,9 +55,9 @@ from pathlib import Path
 STRATEGIES = ["one-a", "average", "symmetric", "per-task", "single-finetune"]
 CONFIGS = {
     "default": {},
-    "descending-frobenius": {"order": "descending", "info_proxy": "frobenius"},
+    "descending": {"order": "descending"},
     "ascending": {"order": "ascending"},
-    "spc23-energy": {"samples_per_class": 23, "info_proxy": "singular-energy"},
+    "spc23": {"samples_per_class": 23},
     "100x50": {"classes": 100, "tasks": 50, "epochs_base": 3},
     "balanced-one-row-batch": {"classes": 12, "tasks": 12, "order": "balanced",
                                "samples_per_class": 41},
@@ -66,18 +66,18 @@ CONFIGS = {
     "backbone-only": {"strategies": ["backbone"]},
     "per-task-one-row": {"classes": 12, "tasks": 12, "samples_per_class": 3,
                          "strategies": ["per-task"]},
-    "zero-updates": {"epochs_min": 0, "epochs_max": 0, "info_proxy": "frobenius"},
+    "zero-updates": {"epochs_min": 0, "epochs_max": 0},
     "bottleneck3": {"classes": 12, "tasks": 4, "bottleneck": 3},
     "one-task": {"classes": 4, "tasks": 1},
 }
 SEEDS = (0, 3)
-MERGE_FLAGS = ([], ["--proxy", "frobenius", "--n-prev", "2"])
+MERGE_FLAGS = ([], ["--n-prev", "2"])
 # (source run, strategy, case tag, first of two consecutive per-task
 # adapters, flags): each fold strategy under each flag set, then each fold
 # strategy on zero updates and on bottleneck-3 adapters
 MERGE_CASES = ([("default", strategy, f"f{i}", i + 1, flags)
                 for strategy in STRATEGIES[:3] for i, flags in enumerate(MERGE_FLAGS)]
-               + [("zero-updates", strategy, "zero", 1, ["--proxy", "frobenius"])
+               + [("zero-updates", strategy, "zero", 1, [])
                   for strategy in STRATEGIES[:3]]
                + [("bottleneck3", strategy, "b3", 1, []) for strategy in STRATEGIES[:3]])
 GEN_STREAM_CASES = {
@@ -94,7 +94,8 @@ FAILING_RUN_SETTINGS = {"classes-float": "classes=2.5", "unknown-key-lr": "lr=0"
                         "unknown-key": "no_such_key=1", "bottleneck-33": "bottleneck=33",
                         "classes-1e8": "classes=100000000",
                         "epochs_base-2**53+1": "epochs_base=9007199254740993",
-                        "epochs_max-past-bound": "epochs_max=1001"}
+                        "epochs_max-past-bound": "epochs_max=1001",
+                        "unknown-key-info_proxy": "info_proxy=class-count"}
 
 
 def call_cli(main, argv: list[str], mask: Path) -> list[bytes]:
@@ -185,10 +186,13 @@ def main() -> int:
         adapter = work / "run-default-s0" / "adapter-one-a.onea"
         truncated = work / "truncated.onea"
         truncated.write_bytes(adapter.read_bytes()[:-1])
-        for name, first in (("missing", work / "absent.onea"), ("truncated", truncated)):
+        for name, first, flags in (("missing", work / "absent.onea", []),
+                                   ("truncated", truncated, []),
+                                   ("proxy", adapter, ["--proxy", "frobenius"])):
             out = work / f"fail-merge-{name}.onea"
             record(f"fail-merge-{name}", fail_case(
-                onea.cli.main, ["merge", str(first), str(adapter), "--out", str(out)],
+                onea.cli.main,
+                ["merge", str(first), str(adapter), "--out", str(out), *flags],
                 out, work))
     print("total", total.hexdigest())
     return 0
