@@ -20,8 +20,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from .adapter import load_module, save_module
-from .errors import ConfigError, FormatError, NumericError, OneaError, clip, clip_repr
-from .merge import MergeConfig
+from .errors import (ConfigError, FormatError, NumericError, OneaError, check_int,
+                     clip, clip_repr)
+from .merge import MAX_N_PREV
 from .metrics import (RunReport, average_accuracy, forgetting, last_accuracy,
                       step_damage, weighted_average_accuracy)
 from .sim import (FOLD_STRATEGIES, PER_TASK_STRATEGIES, Strategy, TrainConfig,
@@ -31,7 +32,7 @@ from .stream import StreamSpec, TaskOrder, build_stream, config_keys
 # every library default comes from the config dataclasses; only the
 # stream shape and the strategy list are the CLI's own
 RUN_DEFAULTS = {
-    **run_config(StreamSpec(total_classes=20, num_tasks=5), TrainConfig(), MergeConfig()),
+    **run_config(StreamSpec(total_classes=20, num_tasks=5), TrainConfig()),
     "strategies": ["one-a", "average"],
 }
 
@@ -94,8 +95,7 @@ def _config_object(cls, conf: dict):
 
 
 def _build_objects(conf: dict):
-    spec, train, merge_cfg = (_config_object(cls, conf)
-                              for cls in (StreamSpec, TrainConfig, MergeConfig))
+    spec, train = (_config_object(cls, conf) for cls in (StreamSpec, TrainConfig))
     names = conf["strategies"]
     if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
         raise ConfigError("config key 'strategies' must be a list of strings, "
@@ -107,7 +107,7 @@ def _build_objects(conf: dict):
     if repeated:
         raise ConfigError(f"config key 'strategies' names {', '.join(repeated)} "
                           "more than once")
-    return spec, train, merge_cfg, strategies
+    return spec, train, strategies
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
@@ -125,13 +125,13 @@ def cmd_gen_stream(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec, train, merge_cfg, strategies = _build_objects(
+    spec, train, strategies = _build_objects(
         _load_run_config(args.config, args.set))
     stream = build_stream(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = run_strategies(stream, strategies, train, merge_cfg)
+    results = run_strategies(stream, strategies, train)
     for strategy, (report, adapters) in zip(strategies, results):
         report_path = out_dir / f"report-{strategy.value}.json"
         report_path.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -146,10 +146,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    # every strategy takes the average's bound, checked before any file is read
+    check_int("n_prev_tasks", args.n_prev, 1, MAX_N_PREV)
     accumulated = load_module(args.accumulated)
     new = load_module(args.new)
-    merged, trace = fold(Strategy(args.strategy), accumulated, new, args.n_prev,
-                         MergeConfig())
+    merged, trace = fold(Strategy(args.strategy), accumulated, new, args.n_prev)
     save_module(merged, args.out)  # an unwritable --out prints nothing
     if trace is None:
         print(f"averaged {len(merged.layers)} layers with n_prev={clip_repr(args.n_prev)}")

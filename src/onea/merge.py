@@ -20,6 +20,10 @@ from .adapter import AdapterModule, TaskMeta, as_matrix, freeze, mergeable
 from .counters import SVD_CALLS
 from .errors import ConfigError, NumericError, ShapeError, check_float, check_int
 
+# up to this n_prev_tasks, the average's n * acc + cur stays finite for entries
+# within float32's range (|x| < 2**128), which every .onea layer is
+MAX_N_PREV = 2**895
+
 
 def _unit_interval(name: str, value) -> float:
     """check_float, then the [0, 1] range of the merge weights."""
@@ -36,7 +40,9 @@ class MergeConfig:
     quantile_q picks the gate threshold within the normalized spectrum and
     sharpness_kappa sets how hard the gate saturates; delta guards the
     spectrum normalization, and rank_eps defines the effective rank:
-    singular values at or below rank_eps * sigma_1 count as noise.
+    singular values at or below rank_eps * sigma_1 count as noise. The
+    merges read them from this class; every instance is the same, so a
+    cfg argument is accepted and not read.
     """
 
     quantile_q: ClassVar[float] = 0.5
@@ -122,7 +128,7 @@ def info_weights(base_meta: TaskMeta, align_meta: TaskMeta,
 
     Every TaskMeta holds at least one class, so the shares are defined.
     The weights depend on the metadata alone: base_w, align_w and cfg are
-    unused, and one pair serves every layer of a merge.
+    accepted and not read, and one pair serves every layer of a merge.
     """
     phi_b, phi_a = float(base_meta.class_count), float(align_meta.class_count)
     w_a = phi_a / (phi_a + phi_b)
@@ -156,13 +162,13 @@ def _linear_quantile(desc: np.ndarray, q: float) -> float:
     return a + (b - a) * gamma
 
 
-def _gate(sigma: np.ndarray, cfg: MergeConfig, eff: int) -> np.ndarray:
+def _gate(sigma: np.ndarray, eff: int) -> np.ndarray:
     """The gate law of gate_vector for a checked spectrum whose effective
     rank is eff; every entry is finite and in [0, 1]."""
-    scores = sigma / (sigma[0] + cfg.delta)
+    scores = sigma / (sigma[0] + MergeConfig.delta)
     pool = scores[:eff] if eff >= 1 else scores
-    theta = _linear_quantile(pool, cfg.quantile_q)
-    return _logistic(cfg.sharpness_kappa * (theta - scores))
+    theta = _linear_quantile(pool, MergeConfig.quantile_q)
+    return _logistic(MergeConfig.sharpness_kappa * (theta - scores))
 
 
 def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
@@ -174,7 +180,7 @@ def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
     gate toward 0 (kept at base) and weak ones toward 1 (fully fused);
     g is exactly 0.5 where s_i equals the threshold, which is numpy's
     default 'linear' quantile computed in closed form. sigma must be
-    non-increasing, as thin_svd returns it.
+    non-increasing, as thin_svd returns it; cfg is not read.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -183,7 +189,7 @@ def gate_vector(sigma: np.ndarray, cfg: MergeConfig) -> GateVector:
         raise NumericError("sigma must be finite and non-negative")
     if (s[1:] > s[:-1]).any():
         raise NumericError("sigma must be non-increasing, as thin_svd returns it")
-    return GateVector(g=_gate(s, cfg, _effective_rank(s, cfg.rank_eps)))
+    return GateVector(g=_gate(s, _effective_rank(s, MergeConfig.rank_eps)))
 
 
 def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
@@ -196,7 +202,7 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
     projection of the update onto base_w's column space. An all-zero gate
     returns base_w; an all-zero base has rank 0, so nothing of align_w
     passes and the zero base comes back (average and symmetric keep part
-    of align_w there). w_b and w_a lie in [0, 1].
+    of align_w there). w_b and w_a lie in [0, 1]; cfg is not read.
 
     Args:
         gate: optional override of the spectrum-derived gate, used to probe
@@ -210,15 +216,15 @@ def merge_layer(base_w: np.ndarray, align_w: np.ndarray, w_b: float, w_a: float,
     if gate is not None and gate.g.size != min(base_w.shape):
         raise ShapeError(f"gate has {gate.g.size} entries for "
                          f"{min(base_w.shape)} directions")
-    return _merge_layer(base_w, align_w, w_b, w_a, cfg, gate)[0]
+    return _merge_layer(base_w, align_w, w_b, w_a, gate)[0]
 
 
-def _merge_layer(base_w, align_w, w_b, w_a, cfg, gate=None):
+def _merge_layer(base_w, align_w, w_b, w_a, gate=None):
     """merge_layer on checked, same-shape operands and a gate of the right
     size; returns the merged layer and the base's effective rank."""
     u, s, v = _svd(base_w)
-    k = _effective_rank(s, cfg.rank_eps)
-    g = _gate(s, cfg, k) if gate is None else gate.g
+    k = _effective_rank(s, MergeConfig.rank_eps)
+    g = _gate(s, k) if gate is None else gate.g
     update = (w_b - 1.0) * (s[:, None] * v.T)
     update[:k] += w_a * (u[:, :k].T @ align_w)
     return base_w + (u * g) @ update, k
@@ -241,20 +247,19 @@ def merge_modules(new: AdapterModule, accumulated: AdapterModule,
 
     Roles are selected once per module pair from sample counts, one
     weight pair comes from the class counts, and each layer is merged
-    independently. Costs exactly one thin SVD per layer.
+    independently; cfg is not read. Costs exactly one thin SVD per layer.
     """
-    return _merge_traced(new, accumulated, cfg)[0]
+    return _merge_traced(new, accumulated)[0]
 
 
-def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
-                  cfg: MergeConfig) -> tuple[AdapterModule, MergeTrace]:
+def _merge_traced(new, accumulated) -> tuple[AdapterModule, MergeTrace]:
     """merge_modules with the trace of its decisions."""
     _check_mergeable(new, accumulated)
     base, align = select_roles(new, accumulated)
     w_b, w_a = info_weights(base.meta, align.meta)
     merged, trace = [], []
     for base_layer, align_layer in zip(base.layers, align.layers):
-        layer, rank = _merge_layer(base_layer, align_layer, w_b, w_a, cfg)
+        layer, rank = _merge_layer(base_layer, align_layer, w_b, w_a)
         merged.append(layer)
         trace.append((rank, w_b, w_a))
     return (_merged_module(new, accumulated, merged),
@@ -264,9 +269,7 @@ def _merge_traced(new: AdapterModule, accumulated: AdapterModule,
 def merge_average(new: AdapterModule, accumulated: AdapterModule,
                   n_prev_tasks: int) -> AdapterModule:
     """Running per-entry mean: (n * accumulated + new) / (n + 1)."""
-    # up to 2**895, n * acc + cur stays finite for entries within float32's
-    # range (|x| < 2**128), which every .onea layer is
-    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1, 2**895)
+    n_prev_tasks = check_int("n_prev_tasks", n_prev_tasks, 1, MAX_N_PREV)
     _check_mergeable(new, accumulated)
     n = float(n_prev_tasks)
     layers = [(n * acc + cur) / (n + 1.0)
@@ -282,8 +285,7 @@ def merge_symmetric(new: AdapterModule, accumulated: AdapterModule,
     right factor splits row-wise into the two task blocks, which are
     averaged as w_b * block_acc + w_a * block_new before reconstruction.
     The thin SVD reconstructs both blocks, so the result equals the linear
-    blend w_b * accumulated + w_a * new up to rounding; no knob of cfg
-    changes it.
+    blend w_b * accumulated + w_a * new up to rounding; cfg is not read.
     """
     w_b, w_a = _unit_interval("w_b", w_b), _unit_interval("w_a", w_a)
     _check_mergeable(new, accumulated)

@@ -60,10 +60,11 @@ class Backbone:
 class TrainConfig:
     """Knobs of the per-task trainer.
 
-    Five constants shape its two schedules: the epoch budget grows as the
-    task-size ratio to the power beta, the contrastive weight decays from
-    lambda_max at one class toward lambda_min at rate k_decay, and
-    tau_margin is the similarity below which a negative pair costs nothing.
+    Four constants shape its two schedules: the epoch budget grows as the
+    task-size ratio to the power beta, and the contrastive weight decays
+    from lambda_max at one class toward lambda_min at rate k_decay. The
+    objective's hinge tau_margin is the similarity below which a negative
+    pair costs nothing; lr and batch_size set each SGD step.
     """
 
     beta: ClassVar[float] = 0.5
@@ -395,21 +396,21 @@ def _predict_across_banks(h, adapters, banks, best=None
     return best
 
 
-def _fold_symmetric(acc, new, n_prev, cfg):
+def _fold_symmetric(acc, new, n_prev):
     w_b, w_a = info_weights(acc.meta, new.meta)
     trace = MergeTrace(base=acc.meta, align=new.meta,
                        layers=((None, w_b, w_a),) * len(acc.layers))
-    return merge_symmetric(new, acc, w_b, w_a, cfg), trace
+    return merge_symmetric(new, acc, w_b, w_a, MergeConfig()), trace
 
 
-# How each strategy absorbs a task: its fold rule, (carried, new, n_prev,
-# cfg) -> (module, MergeTrace | None), or None; the adapter it absorbs: the
+# How each strategy absorbs a task: its fold rule, (carried, new, n_prev)
+# -> (module, MergeTrace | None), or None; the adapter it absorbs: the
 # task's "fresh" one, its carried one "continued" on the task, or the
 # "identity" (zero w_down and w_up); and whether it keeps one member per task.
 _Rule = namedtuple("_Rule", "fold absorbs per_task", defaults=("fresh", False))
 _RULES = {
-    Strategy.ONE_A: _Rule(lambda acc, new, n, cfg: _merge_traced(new, acc, cfg)),
-    Strategy.AVERAGE: _Rule(lambda acc, new, n, cfg: (merge_average(new, acc, n), None)),
+    Strategy.ONE_A: _Rule(lambda acc, new, n: _merge_traced(new, acc)),
+    Strategy.AVERAGE: _Rule(lambda acc, new, n: (merge_average(new, acc, n), None)),
     Strategy.SYMMETRIC: _Rule(_fold_symmetric),
     Strategy.PER_TASK: _Rule(None, per_task=True),
     Strategy.SINGLE_FINETUNE: _Rule(None, "continued"),
@@ -420,8 +421,7 @@ PER_TASK_STRATEGIES = tuple(s for s, rule in _RULES.items() if rule.per_task)
 
 
 def fold(strategy: Strategy, carried: AdapterModule, new: AdapterModule,
-         n_prev: int, merge_cfg: MergeConfig
-         ) -> tuple[AdapterModule, MergeTrace | None]:
+         n_prev: int) -> tuple[AdapterModule, MergeTrace | None]:
     """Fold a newly trained adapter into the carried one.
 
     Args:
@@ -436,14 +436,13 @@ def fold(strategy: Strategy, carried: AdapterModule, new: AdapterModule,
         names = ", ".join(s.value for s in FOLD_STRATEGIES)
         raise ConfigError(f"fold supports {names}; "
                           f"got '{getattr(strategy, 'value', strategy)}'")
-    return _RULES[strategy].fold(carried, new, n_prev, merge_cfg)
+    return _RULES[strategy].fold(carried, new, n_prev)
 
 
-def run_config(spec: StreamSpec, train: TrainConfig,
-               merge_cfg: MergeConfig) -> dict:
-    """The flat `onea run` config that the three config objects spell, keyed
+def run_config(spec: StreamSpec, train: TrainConfig) -> dict:
+    """The flat `onea run` config that the two config objects spell, keyed
     by stream.CONFIG_KEYS."""
-    return {**config_values(spec), **config_values(train), **config_values(merge_cfg)}
+    return {**config_values(spec), **config_values(train)}
 
 
 class _StrategyRun:
@@ -457,10 +456,8 @@ class _StrategyRun:
     rows in one product, so a kept score can differ from a full rescoring
     in the last bits, and a label only on such a near-tie."""
 
-    def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone,
-                 merge_cfg: MergeConfig):
-        self.strategy, self.rule = strategy, _RULES[strategy]
-        self.backbone, self.merge_cfg = backbone, merge_cfg
+    def __init__(self, strategy: Strategy, t_total: int, backbone: Backbone):
+        self.strategy, self.rule, self.backbone = strategy, _RULES[strategy], backbone
         self.adapters: list[AdapterModule] = []
         self.banks: list[PrototypeBank] = []
         self.acc_matrix: list[list[float | None]] = \
@@ -479,7 +476,7 @@ class _StrategyRun:
         if self.rule.fold and carried is not None:
             svd_start = SVD_CALLS.value
             tick = time.perf_counter()
-            adapter, _ = fold(self.strategy, carried, new, idx, self.merge_cfg)
+            adapter, _ = fold(self.strategy, carried, new, idx)
             self.merge_ms.append((time.perf_counter() - tick) * 1000.0)
             self.svd_calls += SVD_CALLS.value - svd_start
         else:
@@ -515,8 +512,7 @@ class _StrategyRun:
             offset += width
 
 
-def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
-                   merge_cfg: MergeConfig | None = None
+def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig
                    ) -> list[tuple[RunReport, list[AdapterModule]]]:
     """Run one continual-learning pass over the stream for several strategies.
 
@@ -543,7 +539,6 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
     for strategy in strategies:
         if not isinstance(strategy, Strategy):
             raise ConfigError(f"unknown strategy {clip_repr(strategy)}")
-    merge_cfg = MergeConfig() if merge_cfg is None else merge_cfg
     spec = stream.spec
     t_total = len(stream.tasks)
     backbone = Backbone.from_seed(
@@ -551,7 +546,7 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
 
     started = time.perf_counter()
-    runs = [_StrategyRun(s, t_total, backbone, merge_cfg) for s in strategies]
+    runs = [_StrategyRun(s, t_total, backbone) for s in strategies]
     # a continuing run starts from a fresh adapter at the first task; every
     # continuing run carries the same adapter, so one continuation serves all
     absorbs = {run.rule.absorbs for run in runs}
@@ -575,7 +570,7 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
             run.step(idx, task, new[run.rule.absorbs], eval_h, eval_y, widths)
     total_s = time.perf_counter() - started
 
-    config_echo = run_config(spec, cfg, merge_cfg)
+    config_echo = run_config(spec, cfg)
     del config_echo["stream_seed"], config_echo["train_seed"]
     results = []
     for run in runs:
@@ -594,8 +589,7 @@ def run_strategies(stream: TaskStream, strategies, cfg: TrainConfig,
     return results
 
 
-def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig,
-                 merge_cfg: MergeConfig | None = None, *,
+def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig, *,
                  return_adapters: bool = False):
     """Run one continual-learning pass over the stream with one strategy.
 
@@ -603,5 +597,5 @@ def run_sequence(stream: TaskStream, strategy: Strategy, cfg: TrainConfig,
     plus the deployable adapter list when return_adapters is set (one
     merged module, or one per task for the per-task strategy).
     """
-    report, adapters = run_strategies(stream, [strategy], cfg, merge_cfg)[0]
+    report, adapters = run_strategies(stream, [strategy], cfg)[0]
     return (report, adapters) if return_adapters else report

@@ -25,8 +25,8 @@ MAX_SEED = 2 ** 64 - 1  # seeds are numpy SeedSequence entropy: unsigned 64-bit
 # float64 sample array of FEATURE_DIM columns is 1 GiB
 MAX_STREAM_SAMPLES = 2 ** 22
 
-# The one table between the fields of the config objects (StreamSpec here,
-# sim.TrainConfig, merge.MergeConfig) and their flat `onea run` keys, by
+# The one table between the fields of the two config objects (StreamSpec
+# here, sim.TrainConfig) and their flat `onea run` keys, by
 # (class name, field); every field not listed is keyed by its own name.
 CONFIG_KEYS = {("StreamSpec", "total_classes"): "classes",
                ("StreamSpec", "num_tasks"): "tasks",

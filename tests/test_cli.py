@@ -504,6 +504,21 @@ def test_merge_average_n_prev_must_convert_to_a_float(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["one-a", "average", "symmetric"])
+def test_merge_n_prev_is_checked_under_every_strategy(strategy, tmp_path, capsys):
+    # --n-prev takes the average's rule and bound under every strategy,
+    # checked before either file is read: a missing file still exits 2
+    _, new = _two_modules(tmp_path)
+    out = tmp_path / "merged.onea"
+    for first, n_prev in ((new, -5), (new, 0), (new, 2 ** 895 + 1),
+                          (tmp_path / "absent.onea", 0)):
+        assert main(["merge", str(first), str(new), "--out", str(out),
+                     "--strategy", strategy, "--n-prev", str(n_prev)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: n_prev_tasks must lie in [1, 2641472")
+        assert not out.exists()
+
+
 def test_merge_rejects_the_backbone_strategy(tmp_path, capsys):
     pa, pb = _two_modules(tmp_path)
     out = tmp_path / "merged.onea"
@@ -696,7 +711,7 @@ def _config_objects(draw):
     train = TrainConfig(epochs_base=draw(st.integers(1, 100)), epochs_min=epochs_min,
                         epochs_max=draw(st.integers(epochs_min, MAX_EPOCHS)),
                         bottleneck=draw(st.integers(1, BACKBONE_DIM)), seed=draw(_SEEDS))
-    return spec, train, MergeConfig()
+    return spec, train
 
 
 @settings(max_examples=200, deadline=None)
@@ -704,7 +719,7 @@ def _config_objects(draw):
 def test_the_key_table_round_trips(objects):
     conf = run_config(*objects)
     assert set(conf) == set(RUN_DEFAULTS) - {"strategies"}
-    assert _build_objects({**conf, "strategies": ["one-a"]})[:3] == objects
+    assert _build_objects({**conf, "strategies": ["one-a"]})[:2] == objects
 
 
 def test_build_objects_quotes_values_past_the_digit_limit():

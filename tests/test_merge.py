@@ -388,23 +388,30 @@ def test_merge_layer_matches_reference_at_the_quantile_ends(q, monkeypatch):
 
 def test_merge_layer_matches_reference_on_a_one_a_run(monkeypatch):
     # every layer of every fold of a stock 20/5 one-a run, with the
-    # weights and config that the run passed
-    calls = []
-
-    def recording(base_w, align_w, w_b, w_a, cfg, gate=None):
-        calls.append((base_w, align_w, w_b, w_a, cfg))
-        return original(base_w, align_w, w_b, w_a, cfg, gate)
-
+    # weights that the run passed; the run reads the gate constants from
+    # MergeConfig, so a patched quantile_q reaches every one of its merges
     original = merge._merge_layer
-    monkeypatch.setattr(merge, "_merge_layer", recording)
-    run_sequence(build_stream(StreamSpec(total_classes=20, num_tasks=5)),
-                 Strategy.ONE_A, TrainConfig())
-    monkeypatch.undo()    # merge_layer below goes through _merge_layer too
-    assert len(calls) == 2 * 4
-    for base_w, align_w, w_b, w_a, cfg in calls:
-        assert cfg == CFG
-        _assert_matches_reference(base_w, align_w, w_b, w_a, None, cfg.rank_eps,
-                                  monkeypatch)
+    for q in (0.5, 0.25):
+        calls = []
+
+        def recording(base_w, align_w, w_b, w_a, gate=None):
+            merged = original(base_w, align_w, w_b, w_a, gate)
+            calls.append((base_w, align_w, w_b, w_a, merged[0]))
+            return merged
+
+        with monkeypatch.context() as patch:  # merge_layer below runs _merge_layer too
+            patch.setattr(merge, "_merge_layer", recording)
+            patch.setattr(MergeConfig, "quantile_q", q)
+            run_sequence(build_stream(StreamSpec(total_classes=20, num_tasks=5)),
+                         Strategy.ONE_A, TrainConfig())
+        assert len(calls) == 2 * 4
+        for base_w, align_w, w_b, w_a, got in calls:
+            want = _assert_matches_reference(base_w, align_w, w_b, w_a, None,
+                                             MergeConfig.rank_eps, monkeypatch, q=q)
+            assert got.tobytes() == want.tobytes()
+    # the patched quantile moved the run's merges off the stock gate
+    assert any(not np.allclose(got, reference_merge_layer(b, a, w_b, w_a))
+               for b, a, w_b, w_a, got in calls)
 
 
 def test_merge_layer_guards():

@@ -882,8 +882,7 @@ def test_per_task_running_best_on_exact_ties():
     backbone = Backbone(projection=np.eye(d))
     rng = np.random.default_rng(5)
     class_sets = [(5, 1), (3,), (0, 4), (2,), (7, 6)]
-    run = sim._StrategyRun(Strategy.PER_TASK, len(class_sets), backbone,
-                           MergeConfig())
+    run = sim._StrategyRun(Strategy.PER_TASK, len(class_sets), backbone)
     tasks, adapters = [], []
     for idx, cids in enumerate(class_sets):
         train_y = np.repeat(cids, 2)
@@ -985,11 +984,10 @@ def test_fold_first_task_and_non_merge_strategies(quick):
         assert report.timings["merge_ms"] == [0.0] and report.svd_calls == 0
     rng = np.random.default_rng(3)
     new = make_module([rng.normal(size=(4, 2)), rng.normal(size=(2, 4))])
-    cfg = MergeConfig()
     for strategy in (Strategy.PER_TASK, Strategy.SINGLE_FINETUNE,
                      Strategy.BACKBONE, "one-a"):
         with pytest.raises(ConfigError):
-            fold(strategy, new, new, 1, cfg)
+            fold(strategy, new, new, 1)
 
 
 @pytest.mark.parametrize("new_samples, carried_samples",
@@ -1008,7 +1006,7 @@ def test_fold_trace_matches_an_oracle(new_samples, carried_samples):
 
     new = module(2, (2,), new_samples)
     carried = module(1, (0, 1, 3), carried_samples)
-    merged, trace = fold(Strategy.ONE_A, carried, new, 1, cfg)
+    merged, trace = fold(Strategy.ONE_A, carried, new, 1)
     assert modules_equal(merged, merge_modules(new, carried, cfg))
     base, align = select_roles(new, carried)
     layers = []
@@ -1020,9 +1018,9 @@ def test_fold_trace_matches_an_oracle(new_samples, carried_samples):
                                layers=tuple(layers))
     assert [rank for rank, _, _ in trace.layers] == [1, 2]
 
-    _, trace = fold(Strategy.SYMMETRIC, carried, new, 1, cfg)
+    _, trace = fold(Strategy.SYMMETRIC, carried, new, 1)
     weights = info_weights(carried.meta, new.meta, carried.layers[0],
                            new.layers[0], cfg)
     assert trace == MergeTrace(base=carried.meta, align=new.meta,
                                layers=((None, *weights),) * 2)
-    assert fold(Strategy.AVERAGE, carried, new, 1, cfg)[1] is None
+    assert fold(Strategy.AVERAGE, carried, new, 1)[1] is None

@@ -29,7 +29,8 @@ run` with a wrong type, a range error, a stream, a bottleneck, an
 epochs_base or an epochs_max past its bound, or an unknown key (lr is one,
 a TrainConfig constant, and info_proxy another, as the information weights
 are always the class-count pair), and `onea merge` on a missing and on a
-truncated .onea file and with the --proxy flag it does not take.
+truncated .onea file, with the --proxy flag it does not take, and with
+--n-prev 0 under one-a (the bound holds for every strategy).
 Each case hashes its exit code, its stdout and stderr (output directory
 masked), each report's canonical_bytes() and every .onea file it wrote; a
 failing case hashes whether its output exists instead. Prints one
@@ -188,7 +189,9 @@ def main() -> int:
         truncated.write_bytes(adapter.read_bytes()[:-1])
         for name, first, flags in (("missing", work / "absent.onea", []),
                                    ("truncated", truncated, []),
-                                   ("proxy", adapter, ["--proxy", "frobenius"])):
+                                   ("proxy", adapter, ["--proxy", "frobenius"]),
+                                   ("n-prev-0", adapter,
+                                    ["--strategy", "one-a", "--n-prev", "0"])):
             out = work / f"fail-merge-{name}.onea"
             record(f"fail-merge-{name}", fail_case(
                 onea.cli.main,
